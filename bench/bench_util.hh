@@ -359,6 +359,9 @@ class CampaignRecorder
         std::ostringstream entry;
         entry << "  {\"bench\": \"" << name << "\""
               << ", \"ops\": " << totalOps
+              // Every figure cell also simulates the default warmup
+              // before its measured ops; throughput must count both.
+              << ", \"warmup_ops\": " << RunSpec{}.warmupOps
               << ", \"jobs\": " << t.jobs
               << ", \"host_cpus\": " << t.hostCpus
               << ", \"runs\": " << t.runs

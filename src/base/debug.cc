@@ -1,6 +1,5 @@
 #include "base/debug.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -15,14 +14,9 @@ namespace loopsim::debug
 namespace
 {
 
-// Campaign workers query these every traced cycle; the mask is an
-// atomic read on the fast path and all mutation (env parse, explicit
-// setFlags/clearFlags) serialises on one mutex. The flag set is
-// install-then-read: installers run before the sweep, workers only
-// load.
-std::atomic<unsigned> flagMask{0};
-std::atomic<bool> envParsed{false};
-
+// Serialises the one-time LOOPSIM_DEBUG parse. setFlags/clearFlags
+// are install-time calls made before a sweep starts; campaign workers
+// only load detail::flagState.
 std::mutex &
 flagMutex()
 {
@@ -32,33 +26,6 @@ flagMutex()
 
 constexpr unsigned allMask =
     (1u << static_cast<unsigned>(Flag::NumFlags)) - 1;
-
-unsigned
-maskOf(Flag flag)
-{
-    return 1u << static_cast<unsigned>(flag);
-}
-
-void
-parseEnvOnce()
-{
-    if (envParsed.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(flagMutex());
-    if (envParsed.load(std::memory_order_relaxed))
-        return;
-    // Guarded by flagMutex and only ever read, never set, by us.
-    const char *env = std::getenv("LOOPSIM_DEBUG"); // NOLINT(concurrency-mt-unsafe)
-    if (env) {
-        // setFlags re-enters flagMutex-free paths only; it marks
-        // envParsed itself, so release the lock around the call by
-        // doing the work inline instead.
-        envParsed.store(true, std::memory_order_release);
-        setFlags(env);
-        return;
-    }
-    envParsed.store(true, std::memory_order_release);
-}
 
 } // anonymous namespace
 
@@ -81,24 +48,28 @@ flagName(Flag flag)
     }
 }
 
-bool
-enabled(Flag flag)
+unsigned
+detail::parseEnv()
 {
-    parseEnvOnce();
-    return (flagMask.load(std::memory_order_relaxed) & maskOf(flag)) != 0;
-}
-
-bool
-anyEnabled()
-{
-    parseEnvOnce();
-    return flagMask.load(std::memory_order_relaxed) != 0;
+    std::lock_guard<std::mutex> lock(flagMutex());
+    unsigned s = detail::flagState.load(std::memory_order_relaxed);
+    if ((s & detail::envParsedBit) != 0)
+        return s;
+    // Latch first: a bad LOOPSIM_DEBUG is reported once, as before.
+    detail::flagState.fetch_or(detail::envParsedBit,
+                               std::memory_order_relaxed);
+    // Guarded by flagMutex and only ever read, never set, by us.
+    const char *env = std::getenv("LOOPSIM_DEBUG"); // NOLINT(concurrency-mt-unsafe)
+    if (env)
+        setFlags(env);
+    return detail::flagState.load(std::memory_order_relaxed);
 }
 
 void
 setFlags(const std::string &csv)
 {
-    envParsed.store(true, std::memory_order_release);
+    detail::flagState.fetch_or(detail::envParsedBit,
+                               std::memory_order_relaxed);
     unsigned add = 0;
     for (const std::string &raw : split(csv, ',')) {
         std::string name = toLower(trim(raw));
@@ -119,14 +90,22 @@ setFlags(const std::string &csv)
         }
         fatal_if(!found, "unknown debug flag: ", raw);
     }
-    flagMask.fetch_or(add, std::memory_order_relaxed);
+    detail::flagState.fetch_or(add, std::memory_order_relaxed);
 }
 
 void
 clearFlags()
 {
-    envParsed.store(true, std::memory_order_release);
-    flagMask.store(0, std::memory_order_relaxed);
+    detail::flagState.store(detail::envParsedBit,
+                            std::memory_order_relaxed);
+}
+
+int
+envTraceTarget(const char *var)
+{
+    // Read-only use of the environment, at structure construction.
+    const char *env = std::getenv(var); // NOLINT(concurrency-mt-unsafe)
+    return env ? std::atoi(env) : -1;
 }
 
 void

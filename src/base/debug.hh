@@ -14,6 +14,7 @@
 #ifndef LOOPSIM_BASE_DEBUG_HH
 #define LOOPSIM_BASE_DEBUG_HH
 
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -42,8 +43,42 @@ enum class Flag : unsigned
 /** Printable name of @p flag. */
 const char *flagName(Flag flag);
 
+namespace detail
+{
+
+/** Set in flagState once LOOPSIM_DEBUG has been read (or overridden
+ *  by setFlags/clearFlags). */
+inline constexpr unsigned envParsedBit = 1u << 31;
+
+/**
+ * The enabled-flag mask plus envParsedBit, in one word so the fast
+ * path is a single relaxed load: whoever sees the bit also sees the
+ * mask stored with it. The env parse serialises on a mutex in
+ * debug.cc; setFlags/clearFlags run before a sweep; campaign workers
+ * only load.
+ */
+inline std::atomic<unsigned> flagState{0};
+
+/** Slow path: read LOOPSIM_DEBUG once; returns the latched state. */
+unsigned parseEnv();
+
+inline unsigned
+state()
+{
+    unsigned s = flagState.load(std::memory_order_relaxed);
+    if ((s & envParsedBit) == 0) [[unlikely]]
+        s = parseEnv();
+    return s;
+}
+
+} // namespace detail
+
 /** Is @p flag enabled? Inline-cheap: one mask test. */
-bool enabled(Flag flag);
+inline bool
+enabled(Flag flag)
+{
+    return (detail::state() & (1u << static_cast<unsigned>(flag))) != 0;
+}
 
 /** Enable a comma-separated flag list ("Issue,Squash" or "All"). */
 void setFlags(const std::string &csv);
@@ -52,7 +87,19 @@ void setFlags(const std::string &csv);
 void clearFlags();
 
 /** True when any flag is on (fast path guard). */
-bool anyEnabled();
+inline bool
+anyEnabled()
+{
+    return (detail::state() & ~detail::envParsedBit) != 0;
+}
+
+/**
+ * Structure-level trace target: the integer in environment variable
+ * @p var (LOOPSIM_TRACE_POOL, LOOPSIM_TRACE_REG), or -1 when unset.
+ * Structures latch it at construction so their hot paths compare a
+ * member instead of re-reading the environment.
+ */
+int envTraceTarget(const char *var);
 
 /** Emit one trace line (already guarded by enabled()). */
 void emit(Flag flag, Cycle cycle, const std::string &message);

@@ -236,6 +236,10 @@ class Core : public Clocked, public IntegrityProbe
     /** Is this core recording loop events? (tests) */
     bool loopTraceActive() const { return loopTrace != nullptr; }
 
+    /** The reorder-trap wait table (nullptr when memory-order traps
+     *  are off); tests read which load PCs it learned. */
+    const MemDepPredictor *memDepPredictor() const { return memDep.get(); }
+
   private:
     /** @name Pipeline event machinery */
     /// @{
@@ -431,6 +435,15 @@ class Core : public Clocked, public IntegrityProbe
         ThreadId tid;
     };
 
+    /** One performed load, keyed for the store-order trap check. */
+    struct PerformedLoad
+    {
+        std::uint64_t fetchStamp;
+        Addr dword; ///< effAddr >> 3
+        InstRef ref;
+    };
+    static constexpr std::size_t minPerformedCompact = 64;
+
     struct ThreadState
     {
         TraceSource *src = nullptr;
@@ -450,6 +463,12 @@ class Core : public Clocked, public IntegrityProbe
          *  set of renamed-but-unexecuted store sequence numbers. */
         std::uint64_t storeRenameCount = 0;
         std::set<std::uint64_t> unexecStoreSeqs;
+        /** Reorder-trap candidates: every load of this thread that
+         *  performed its access, appended in handleLoadExec. A
+         *  superset of the live loads with memDone && execValid;
+         *  stale entries are re-checked on use and compacted away. */
+        std::vector<PerformedLoad> performedLoads;
+        std::size_t performedCompactAt = minPerformedCompact;
     };
 
     /** @name Stage logic (one call per cycle each) */
@@ -494,10 +513,15 @@ class Core : public Clocked, public IntegrityProbe
     LOOPSIM_WAKE_STATE void squashYounger(ThreadId tid,
                                           std::uint64_t stamp, Cycle now);
 
-    /** Memory-ordering bookkeeping for a store's first valid
-     *  execution: mark it executed and detect reorder traps. */
-    void handleStoreOrdering(DynInst &inst, InstRef ref,
-                             Cycle exec_start);
+    /** Memory-ordering bookkeeping for a store's valid execution:
+     *  mark it executed and detect reorder traps. */
+    void handleStoreOrdering(DynInst &inst, Cycle exec_start);
+    /** Add a load that just performed its access to its thread's
+     *  reorder-trap candidates. */
+    void recordPerformedLoad(const DynInst &inst, InstRef ref);
+    /** Is @p p still a performed load (not killed, squashed, retired
+     *  or re-slotted since it was recorded)? */
+    bool stillPerformed(const PerformedLoad &p) const;
 
     /** Operand classification at execute (Figure 9 accounting). */
     OperandSource classifyOperand(const DynInst &inst, unsigned idx,

@@ -626,6 +626,8 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
     }
     inst.memResult = res;
     inst.memDone = true;
+    if (memDep)
+        recordPerformedLoad(inst, ref);
     loadLevels->add(levelBin(res.level));
     loadLatency->sample(static_cast<double>(res.latency));
 
@@ -790,7 +792,7 @@ Core::executeValid(DynInst &inst, InstRef ref, Cycle exec_start)
         inst.memDone = true;
         inst.produceCycle = exec_start + 1;
         inst.state = InstState::Done;
-        handleStoreOrdering(inst, ref, exec_start);
+        handleStoreOrdering(inst, exec_start);
         if (res.tlbMiss) {
             // Stores trap on dTLB misses too.
             *tlbTraps += 1;
@@ -891,8 +893,36 @@ Core::startExecution(InstRef ref, Cycle exec_start, Cycle issue_stamp)
     executeValid(inst, ref, exec_start);
 }
 
+bool
+Core::stillPerformed(const PerformedLoad &p) const
+{
+    if (!pool.live(p.ref))
+        return false;
+    const DynInst &load = pool.get(p.ref);
+    return load.fetchStamp == p.fetchStamp && load.op.isLoad() &&
+           load.memDone && load.execValid;
+}
+
 void
-Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
+Core::recordPerformedLoad(const DynInst &inst, InstRef ref)
+{
+    ThreadState &t = threads[inst.op.tid];
+    auto &rec = t.performedLoads;
+    rec.push_back(PerformedLoad{inst.fetchStamp, inst.op.effAddr >> 3,
+                                ref});
+    if (rec.size() < t.performedCompactAt)
+        return;
+    // Drop killed, squashed, retired and re-slotted loads. The next
+    // compaction waits for as many appends as survived, so each entry
+    // is compacted O(1) times on average.
+    std::erase_if(rec, [&](const PerformedLoad &p) {
+        return !stillPerformed(p);
+    });
+    t.performedCompactAt = std::max(minPerformedCompact, 2 * rec.size());
+}
+
+void
+Core::handleStoreOrdering(DynInst &inst, Cycle exec_start)
 {
     ThreadState &t = threads[inst.op.tid];
     if (!inst.storeExecCounted) {
@@ -911,23 +941,22 @@ Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
     // Load/store reorder trap detection (the paper's memory trap
     // loop): a *younger* load to the same dword that already performed
     // its access read stale data. The oldest such load restarts from
-    // fetch; the wait table learns its PC.
+    // fetch; the wait table learns its PC. Every live performed load
+    // of this thread is in performedLoads (live loads are exactly the
+    // thread's ROB loads), so filtering it by dword, age and the
+    // still-performed predicate finds the ROB walk's victim.
     Addr dword = inst.op.effAddr >> 3;
     InstRef victim{};
     std::uint64_t victim_stamp = 0;
-    for (std::size_t i = 0; i < t.rob.size(); ++i) {
-        InstRef r = t.rob.at(i);
-        const DynInst &cand = pool.get(r);
-        if (cand.fetchStamp <= inst.fetchStamp)
+    for (const PerformedLoad &p : t.performedLoads) {
+        if (p.dword != dword || p.fetchStamp <= inst.fetchStamp)
             continue;
-        if (!cand.op.isLoad() || !cand.memDone || !cand.execValid)
+        if (victim.valid() && p.fetchStamp >= victim_stamp)
             continue;
-        if ((cand.op.effAddr >> 3) != dword)
+        if (!stillPerformed(p))
             continue;
-        if (!victim.valid() || cand.fetchStamp < victim_stamp) {
-            victim = r;
-            victim_stamp = cand.fetchStamp;
-        }
+        victim = p.ref;
+        victim_stamp = p.fetchStamp;
     }
     if (!victim.valid())
         return;
@@ -944,7 +973,6 @@ Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
     schedule(Event{exec_start + mem->l1Latency() + cfg.loadFeedback,
                    EventType::OrderTrap, 0, victim, invalidCycle,
                    invalidPhysReg, invalidCycle, sid});
-    (void)ref;
 }
 
 void

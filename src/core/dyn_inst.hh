@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -167,17 +166,6 @@ class InstPool
     std::size_t inUse() const { return slots.size() - freeList.size(); }
     std::size_t capacity() const { return slots.size(); }
 
-    /** Debug aid: LOOPSIM_TRACE_POOL=<idx> logs slot transitions. */
-    static int
-    tracedIdx()
-    {
-        static int idx = [] {
-            const char *env = std::getenv("LOOPSIM_TRACE_POOL");
-            return env ? std::atoi(env) : -1;
-        }();
-        return idx;
-    }
-
     /** Allocate a slot; the entry keeps its bumped generation. */
     InstRef
     alloc()
@@ -196,7 +184,7 @@ class InstPool
         inst.consumers = std::move(recycled);
         inst.gen = gen;
         inst.state = InstState::Renamed;
-        if (static_cast<int>(idx) == tracedIdx()) {
+        if (static_cast<int>(idx) == tracedIdx) [[unlikely]] {
             // Through debug::emit: one write per line, so traces stay
             // unscrambled under parallel campaigns.
             std::ostringstream os;
@@ -212,7 +200,7 @@ class InstPool
     {
         DynInst &inst = get(ref);
         panic_if(inst.state == InstState::Empty, "double release");
-        if (static_cast<int>(ref.idx) == tracedIdx()) {
+        if (static_cast<int>(ref.idx) == tracedIdx) [[unlikely]] {
             std::ostringstream os;
             os << "[pool " << ref.idx << "] release gen " << ref.gen
                << " op " << inst.op.toString() << " physDest "
@@ -250,6 +238,8 @@ class InstPool
   private:
     std::vector<DynInst> slots;
     std::vector<PoolIdx> freeList;
+    /** Debug aid: LOOPSIM_TRACE_POOL=<idx> logs slot transitions. */
+    int tracedIdx = debug::envTraceTarget("LOOPSIM_TRACE_POOL");
 };
 
 } // namespace loopsim

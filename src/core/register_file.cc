@@ -1,7 +1,6 @@
 #include "core/register_file.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "base/debug.hh"
@@ -9,37 +8,6 @@
 
 namespace loopsim
 {
-
-namespace
-{
-
-/**
- * Debug aid: set LOOPSIM_TRACE_REG=<n> to log every state transition
- * of physical register n to stderr.
- */
-int
-tracedReg()
-{
-    static const int reg = [] {
-        const char *env = std::getenv("LOOPSIM_TRACE_REG");
-        return env ? std::atoi(env) : -1;
-    }();
-    return reg;
-}
-
-void
-traceReg(PhysReg reg, const char *what, std::uint64_t value)
-{
-    if (static_cast<int>(reg) != tracedReg())
-        return;
-    // Through debug::emit: one write per line, so traces stay
-    // unscrambled under parallel campaigns.
-    std::ostringstream os;
-    os << "[preg " << reg << "] " << what << " " << value;
-    debug::emit(debug::Flag::Reg, os.str());
-}
-
-} // anonymous namespace
 
 const char *
 operandSourceName(OperandSource src)
@@ -60,13 +28,25 @@ PhysRegFile::PhysRegFile(unsigned num_regs)
     : numRegs(num_regs), issueReadyCycles(num_regs, invalidCycle),
       actualReadyCycles(num_regs, invalidCycle),
       writebackCycles(num_regs, invalidCycle), liveFlags(num_regs, 0),
-      producers(num_regs)
+      producers(num_regs),
+      tracedReg(debug::envTraceTarget("LOOPSIM_TRACE_REG"))
 {
     fatal_if(num_regs == 0 || num_regs >= invalidPhysReg,
              "physical register count out of range");
     freeList.reserve(num_regs);
     for (unsigned i = num_regs; i-- > 0;)
         freeList.push_back(static_cast<PhysReg>(i));
+}
+
+void
+PhysRegFile::emitTrace(PhysReg reg, const char *what,
+                       std::uint64_t value) const
+{
+    // Through debug::emit: one write per line, so traces stay
+    // unscrambled under parallel campaigns.
+    std::ostringstream os;
+    os << "[preg " << reg << "] " << what << " " << value;
+    debug::emit(debug::Flag::Reg, os.str());
 }
 
 void

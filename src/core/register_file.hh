@@ -85,6 +85,16 @@ class PhysRegFile
 
   private:
     void checkRange(PhysReg reg) const;
+    /** Debug aid: LOOPSIM_TRACE_REG=<n> logs every state transition
+     *  of physical register n. */
+    void
+    traceReg(PhysReg reg, const char *what, std::uint64_t value) const
+    {
+        if (static_cast<int>(reg) == tracedReg) [[unlikely]]
+            emitTrace(reg, what, value);
+    }
+    void emitTrace(PhysReg reg, const char *what,
+                   std::uint64_t value) const;
 
     unsigned numRegs;
     /**
@@ -101,6 +111,7 @@ class PhysRegFile
     std::vector<std::uint8_t> liveFlags;
     std::vector<InstRef> producers;
     std::vector<PhysReg> freeList;
+    int tracedReg;
 };
 
 inline bool

@@ -1,5 +1,7 @@
 #include "dra/crc.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "base/str.hh"
 
@@ -29,11 +31,16 @@ ClusterRegisterCache::ClusterRegisterCache(unsigned num_entries,
 ClusterRegisterCache::Entry *
 ClusterRegisterCache::find(PhysReg reg)
 {
-    for (auto &e : store) {
-        if (e.valid && e.reg == reg)
-            return &e;
-    }
-    return nullptr;
+    if (reg >= slotOf.size() || slotOf[reg] == noSlot)
+        return nullptr;
+    return &store[slotOf[reg]];
+}
+
+void
+ClusterRegisterCache::drop(Entry &e)
+{
+    e.valid = false;
+    slotOf[e.reg] = noSlot;
 }
 
 bool
@@ -43,7 +50,7 @@ ClusterRegisterCache::lookup(PhysReg reg, Cycle now)
     if (e && timeout > 0 && now > e->insertedAt + timeout) {
         // §5.5 alternative: age out stale entries instead of relying
         // solely on reallocation invalidates.
-        e->valid = false;
+        drop(*e);
         ++timeoutCount;
         e = nullptr;
     }
@@ -77,8 +84,13 @@ ClusterRegisterCache::insert(PhysReg reg, Cycle now)
         if (!victim || cand.stamp < victim->stamp)
             victim = &cand;
     }
-    if (victim->valid)
+    if (victim->valid) {
         ++evictCount;
+        drop(*victim);
+    }
+    if (reg >= slotOf.size())
+        slotOf.resize(std::size_t{reg} + 1, noSlot);
+    slotOf[reg] = static_cast<std::uint32_t>(victim - store.data());
     victim->valid = true;
     victim->reg = reg;
     victim->stamp = ++stamp;
@@ -90,7 +102,7 @@ ClusterRegisterCache::invalidate(PhysReg reg)
 {
     Entry *e = find(reg);
     if (e) {
-        e->valid = false;
+        drop(*e);
         ++invalidateCount;
     }
 }
@@ -109,6 +121,7 @@ ClusterRegisterCache::reset()
 {
     for (auto &e : store)
         e = Entry{};
+    std::fill(slotOf.begin(), slotOf.end(), noSlot);
     stamp = 0;
     hitCount = 0;
     missCount = 0;

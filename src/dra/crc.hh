@@ -4,6 +4,10 @@
  * of register values placed next to one functional-unit cluster. The
  * paper's design point is 16 entries with FIFO replacement; LRU and an
  * LRU-on-read variant are provided for the ablation study.
+ *
+ * Every register reallocation invalidates in every cluster's CRC, so
+ * lookups go through a reg -> slot index rather than a search of the
+ * entries; victim selection still scans the (small) entry array.
  */
 
 #ifndef LOOPSIM_DRA_CRC_HH
@@ -78,12 +82,19 @@ class ClusterRegisterCache
         Cycle insertedAt = 0;
     };
 
+    static constexpr std::uint32_t noSlot = UINT32_MAX;
+
     Entry *find(PhysReg reg);
+    /** Drop @p e (valid) from the cache and the index. */
+    void drop(Entry &e);
 
     unsigned entriesMax;
     CrcRepl repl;
     Cycle timeout;
     std::vector<Entry> store;
+    /** store slot holding each register, noSlot when absent; grows
+     *  to the highest register inserted. */
+    std::vector<std::uint32_t> slotOf;
     std::uint64_t stamp = 0;
 
     std::uint64_t hitCount = 0;

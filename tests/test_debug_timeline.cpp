@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 #include "base/debug.hh"
@@ -58,6 +59,18 @@ TEST(DebugFlags, UnknownFlagFatal)
 {
     FlagGuard guard;
     EXPECT_THROW(debug::setFlags("Bogus"), FatalError);
+}
+
+TEST(DebugFlags, EnvTraceTargetReadsTheVariable)
+{
+    // The value InstPool/PhysRegFile latch at construction. The test
+    // touches the environment from its only thread.
+    const char *var = "LOOPSIM_TEST_TRACE_TARGET";
+    ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
+    EXPECT_EQ(debug::envTraceTarget(var), -1);
+    ::setenv(var, "17", 1); // NOLINT(concurrency-mt-unsafe)
+    EXPECT_EQ(debug::envTraceTarget(var), 17);
+    ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
 }
 
 TEST(DebugFlags, NamesAreDistinct)

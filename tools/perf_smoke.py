@@ -180,6 +180,7 @@ def measure_kernel(args, label, extra_env, failures, tmp):
     outputs = []
     walls, rps = [], []
     runs = 0
+    warmup = 0
     for rep in range(args.repeats):
         bench_json = Path(tmp) / f"{label}_{rep}.json"
         out = run_bench(args.bench, args.ops, args.jobs, bench_json,
@@ -193,15 +194,22 @@ def measure_kernel(args, label, extra_env, failures, tmp):
         walls.append(entry.get("campaign_wall_s", 0.0))
         rps.append(entry.get("runs_per_s", 0.0))
         runs = entry.get("runs", 0)
+        if "warmup_ops" not in entry:
+            failures.append(f"{label} kernel: telemetry entry lacks "
+                            f"warmup_ops; ops/s would omit the warmup")
+        warmup = entry.get("warmup_ops", 0)
     if len(set(outputs)) != 1:
         failures.append(
             f"{label} kernel: figure output varies across repeats — "
             f"the campaign is not deterministic")
     med_rps = median(rps)
+    # Every cell simulates its warmup ops in detail before the
+    # measured ones, so both count toward host throughput.
     return outputs[0], {
         "runs": runs,
         "runs_per_s": med_rps,
-        "ops_per_s": med_rps * args.ops,
+        "warmup_ops": warmup,
+        "ops_per_s": med_rps * (args.ops + warmup),
         "p50_wall_s": median(walls),
     }
 
