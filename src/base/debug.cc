@@ -1,9 +1,11 @@
 #include "base/debug.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "base/str.hh"
@@ -79,6 +81,14 @@ setFlags(const std::string &csv)
             add |= allMask;
             continue;
         }
+        // Pool and Reg only label structure-level trace lines; the
+        // tracing itself follows a per-slot/per-register target.
+        fatal_if(name == "pool", "debug flag ", raw,
+                 " is not switched by a flag list: set "
+                 "LOOPSIM_TRACE_POOL=<pool slot> instead");
+        fatal_if(name == "reg", "debug flag ", raw,
+                 " is not switched by a flag list: set "
+                 "LOOPSIM_TRACE_REG=<physical register> instead");
         bool found = false;
         for (unsigned f = 0;
              f < static_cast<unsigned>(Flag::NumFlags); ++f) {
@@ -105,7 +115,18 @@ envTraceTarget(const char *var)
 {
     // Read-only use of the environment, at structure construction.
     const char *env = std::getenv(var); // NOLINT(concurrency-mt-unsafe)
-    return env ? std::atoi(env) : -1;
+    if (!env)
+        return -1;
+    // Strict: a typo must fail, not trace some other slot.
+    const std::string_view text(env);
+    int target = -1;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), target);
+    fatal_if(text.empty() || ec != std::errc() ||
+                 end != text.data() + text.size() || target < 0,
+             var, "='", text,
+             "' is not a slot/register number (a decimal integer >= 0)");
+    return target;
 }
 
 void

@@ -35,8 +35,12 @@ enum class Flag : unsigned
     Kill,
     Dra,
     Mem,
-    Pool, ///< instruction-pool slot transitions (LOOPSIM_TRACE_POOL)
-    Reg,  ///< physical-register transitions (LOOPSIM_TRACE_REG)
+    /** Label of instruction-pool slot trace lines. Switched only by
+     *  LOOPSIM_TRACE_POOL=<slot>; naming it in a flag list is fatal. */
+    Pool,
+    /** Label of physical-register trace lines. Switched only by
+     *  LOOPSIM_TRACE_REG=<reg>; naming it in a flag list is fatal. */
+    Reg,
     NumFlags
 };
 
@@ -80,7 +84,8 @@ enabled(Flag flag)
     return (detail::state() & (1u << static_cast<unsigned>(flag))) != 0;
 }
 
-/** Enable a comma-separated flag list ("Issue,Squash" or "All"). */
+/** Enable a comma-separated flag list ("Issue,Squash" or "All").
+ *  An unknown name, or Pool/Reg (see Flag), is fatal. */
 void setFlags(const std::string &csv);
 
 /** Disable everything. */
@@ -96,6 +101,8 @@ anyEnabled()
 /**
  * Structure-level trace target: the integer in environment variable
  * @p var (LOOPSIM_TRACE_POOL, LOOPSIM_TRACE_REG), or -1 when unset.
+ * Anything but a decimal integer >= 0 (empty, junk, trailing text,
+ * negative, out of range) is fatal.
  * Structures latch it at construction so their hot paths compare a
  * member instead of re-reading the environment.
  */

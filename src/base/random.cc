@@ -1,6 +1,5 @@
 #include "base/random.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "base/logging.hh"
@@ -95,6 +94,7 @@ Pcg32::geometric(double p, std::uint32_t cap)
 
 DiscreteDistribution::DiscreteDistribution(const std::vector<double> &weights)
 {
+    std::vector<double> cumulative;
     cumulative.reserve(weights.size());
     double sum = 0.0;
     for (double w : weights) {
@@ -104,18 +104,39 @@ DiscreteDistribution::DiscreteDistribution(const std::vector<double> &weights)
     }
     panic_if(!cumulative.empty() && sum <= 0.0,
              "DiscreteDistribution with all-zero weights");
-}
+    if (cumulative.empty())
+        return;
 
-std::size_t
-DiscreteDistribution::sample(Pcg32 &rng) const
-{
-    panic_if(cumulative.empty(), "sampling an empty distribution");
-    double total = cumulative.back();
-    double u = rng.nextDouble() * total;
-    auto it = std::upper_bound(cumulative.begin(), cumulative.end(), u);
-    if (it == cumulative.end())
-        --it;
-    return static_cast<std::size_t>(it - cumulative.begin());
+    // The contract: draw d samples the first index whose cumulative
+    // weight exceeds u = nextDouble() * total (the last index if none
+    // does). That index exceeds i exactly when cumulative[i] <= u,
+    // which is monotone in d: find the smallest such d, computing u
+    // with nextDouble()'s expression so every draw keeps its index.
+    const double total = cumulative.back();
+    constexpr std::uint64_t numDraws = std::uint64_t{1} << 32;
+    threshold.resize(cumulative.size());
+    for (std::size_t i = 0; i + 1 < cumulative.size(); ++i) {
+        std::uint64_t lo = 0;
+        std::uint64_t hi = numDraws;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            const double u =
+                static_cast<double>(mid) * (1.0 / 4294967296.0) * total;
+            if (cumulative[i] <= u)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        threshold[i] = lo;
+    }
+    threshold.back() = numDraws;
+
+    std::uint32_t idx = 0;
+    for (std::uint64_t h = 0; h < guide.size(); ++h) {
+        while (threshold[idx] <= h << 24)
+            ++idx;
+        guide[h] = idx;
+    }
 }
 
 } // namespace loopsim

@@ -10,8 +10,12 @@
 #ifndef LOOPSIM_BASE_RANDOM_HH
 #define LOOPSIM_BASE_RANDOM_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "base/logging.hh"
 
 namespace loopsim
 {
@@ -62,8 +66,16 @@ class Pcg32
 };
 
 /**
- * A discrete distribution over arbitrary weights, sampled by binary
- * search over the cumulative weight table.
+ * A discrete distribution over arbitrary weights.
+ *
+ * sample() returns exactly what a binary search of the cumulative
+ * weights would for the same single draw — the first index whose
+ * cumulative weight exceeds next() * 2^-32 * total, clamped to the
+ * last index — in O(1): that result is monotone in the 32-bit draw, so
+ * construction finds, per index i, the smallest draw whose result
+ * exceeds i, and sample() starts from a 256-entry guide table on the
+ * draw's top byte and scans forward over those thresholds (DESIGN.md
+ * §14 "Exact O(1) op-mix sampling").
  */
 class DiscreteDistribution
 {
@@ -73,14 +85,30 @@ class DiscreteDistribution
     /** Build from (possibly unnormalised) non-negative weights. */
     explicit DiscreteDistribution(const std::vector<double> &weights);
 
-    /** Sample an index in [0, size()). */
-    std::size_t sample(Pcg32 &rng) const;
+    /** Sample an index in [0, size()) with one rng.next(). */
+    std::size_t sample(Pcg32 &rng) const { return indexOf(rng.next()); }
 
-    std::size_t size() const { return cumulative.size(); }
-    bool empty() const { return cumulative.empty(); }
+    /** The index sample() returns when the generator draws @p draw. */
+    std::size_t
+    indexOf(std::uint32_t draw) const
+    {
+        panic_if(threshold.empty(), "sampling an empty distribution");
+        std::size_t i = guide[draw >> 24];
+        while (draw >= threshold[i])
+            ++i;
+        return i;
+    }
+
+    std::size_t size() const { return threshold.size(); }
+    bool empty() const { return threshold.empty(); }
 
   private:
-    std::vector<double> cumulative;
+    /** threshold[i]: the smallest draw that samples an index > i; the
+     *  last entry is 2^32, above every draw, and ends the scan. */
+    std::vector<std::uint64_t> threshold;
+    /** guide[h]: the index sampled by draw h << 24, the smallest draw
+     *  with top byte h. */
+    std::array<std::uint32_t, 256> guide{};
 };
 
 } // namespace loopsim

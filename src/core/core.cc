@@ -189,41 +189,25 @@ Core::schedule(Event ev, bool lazy)
     ev.order = ++eventOrder;
     // Writebacks are pure timestamp updates: nothing observes them
     // until some later read, and reads only happen inside ticks. They
-    // go on the lazy queue, which does not wake the event wheel (see
-    // the member doc), so a cycle whose only activity is a writeback
-    // costs no tick. Callers may route other events the same way when
-    // they can prove the drain-late equivalence (ALU ExecStarts).
-    if (lazy || ev.type == EventType::Writeback)
-        lazyEvents.push(ev);
-    else
-        events.push(ev);
+    // are lazy, which does not wake the event wheel (see the member
+    // doc), so a cycle whose only activity is a writeback costs no
+    // tick. Callers may route other events the same way when they can
+    // prove the drain-late equivalence (ALU ExecStarts).
+    ev.lazy = lazy || ev.type == EventType::Writeback;
+    events.push(ev);
 }
 
 void
 Core::processEvents(Cycle now)
 {
-    // Drain both queues merged by the heap comparator (cycle, type,
-    // order) — exactly the order a single dense queue would pop. The
-    // two tops can never compare equal: the scheduling order stamp is
-    // unique per event and is the comparator's final tiebreak.
-    while (true) {
-        const bool waking =
-            !events.empty() && events.top().cycle <= now;
-        const bool lazy =
-            !lazyEvents.empty() && lazyEvents.top().cycle <= now;
-        if (!waking && !lazy)
-            break;
-        const bool take_lazy =
-            lazy && (!waking || events.top() > lazyEvents.top());
-        Event ev = take_lazy ? lazyEvents.top() : events.top();
-        if (take_lazy)
-            lazyEvents.pop();
-        else
-            events.pop();
-        // Only the waking queue feeds nextActivity(); lazy events are
+    // Exact (cycle, type, order) order, lazy and waking events
+    // interleaved, including events the handlers schedule at or
+    // below now — the order a single dense heap would pop.
+    Event ev;
+    while (events.pop(now, ev)) {
+        // Only waking events feed nextActivity(); lazy events are
         // *expected* to drain late (with their own cycle as the time).
-        panic_if(!take_lazy && ev.cycle < now,
-                 "event missed its cycle");
+        panic_if(!ev.lazy && ev.cycle < now, "event missed its cycle");
 
         // Audit context: evaluated only when a read violates the loop
         // discipline.
@@ -487,15 +471,15 @@ Core::killDependencyTree(InstRef root, Cycle now)
     // dependency tree that have already issued are reissued. The IQ
     // learns of the mis-speculation all at once, `now`, so the whole
     // issued tree is reverted in this cycle.
-    std::vector<InstRef> work;
-    work.push_back(root);
-    while (!work.empty()) {
-        InstRef ref = work.back();
-        work.pop_back();
-        // Copy: killInstruction does not mutate consumer lists, but
-        // keep iteration robust against future edits.
-        const std::vector<InstRef> consumers = pool.get(ref).consumers;
-        for (const InstRef &c : consumers) {
+    // Depth-first over a member stack (no allocation once warm). The
+    // consumer lists are read in place: killInstruction never edits
+    // one.
+    killStack.clear();
+    killStack.push_back(root);
+    while (!killStack.empty()) {
+        const InstRef ref = killStack.back();
+        killStack.pop_back();
+        for (const InstRef &c : pool.get(ref).consumers) {
             if (!pool.live(c))
                 continue;
             const DynInst &ci = pool.get(c);
@@ -504,7 +488,7 @@ Core::killDependencyTree(InstRef root, Cycle now)
                 continue; // not issued: it simply waits
             }
             killInstruction(c);
-            work.push_back(c);
+            killStack.push_back(c);
         }
     }
     (void)now;
@@ -715,7 +699,7 @@ Core::integritySample(Cycle now) const
     s.iqOccupancy = iq.size();
     s.iqCapacity = cfg.iqEntries;
     s.renamePipe = renamePipe.size();
-    s.pendingEvents = events.size() + lazyEvents.size();
+    s.pendingEvents = events.size();
     for (const ThreadState &t : threads)
         s.frontendWork += t.fetchBuffer.size() + t.replayQueue.size();
     s.done = done();

@@ -17,12 +17,9 @@
 #define LOOPSIM_CORE_CORE_HH
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <deque>
 #include <set>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -31,6 +28,7 @@
 #include "branch/btb.hh"
 #include "branch/predictor.hh"
 #include "core/dyn_inst.hh"
+#include "core/event_queue.hh"
 #include "core/forwarding_buffer.hh"
 #include "core/instruction_queue.hh"
 #include "core/machine_config.hh"
@@ -241,50 +239,15 @@ class Core : public Clocked, public IntegrityProbe
     const MemDepPredictor *memDepPredictor() const { return memDep.get(); }
 
   private:
-    /** @name Pipeline event machinery */
+    /** @name Pipeline event machinery (core/event_queue.hh) */
     /// @{
-    enum class EventType : std::uint8_t
-    {
-        Writeback,       ///< value leaves fwd buffer, lands in RF
-        LoadMissKill,    ///< load-resolution-loop mis-speculation at IQ
-        OperandMissKill, ///< DRA operand-loop mis-speculation at IQ
-        TlbTrap,         ///< memory trap: front-of-pipe recovery
-        OrderTrap,       ///< load/store reorder trap: refetch the load
-        BranchRedirect,  ///< branch-resolution-loop repair at fetch
-        ExecStart,       ///< instruction reaches the functional unit
-        PayloadDelivery  ///< operand-miss recovery reaches the payload
-    };
-
-    struct Event
-    {
-        Cycle cycle;
-        EventType type;
-        std::uint64_t order; ///< FIFO tie-break within a cycle
-        InstRef ref;
-        Cycle issueStamp = invalidCycle; ///< staleness check
-        PhysReg reg = invalidPhysReg;    ///< Writeback payload
-        Cycle expect = invalidCycle;     ///< Writeback produce check
-        /** Feedback-port signal id (0 for non-feedback events). */
-        std::uint64_t signalId = 0;
-
-        bool
-        operator>(const Event &o) const
-        {
-            if (cycle != o.cycle)
-                return cycle > o.cycle;
-            if (type != o.type)
-                return type > o.type;
-            return order > o.order;
-        }
-    };
-
     /** Scheduling a waking event is itself a wake declaration: the
-     *  event's cycle feeds nextActivity() through the waking queue
-     *  (lazy events opt out of that, see `lazyEvents`). */
+     *  event's cycle feeds nextActivity() through the queue's waking
+     *  entries (lazy events opt out of that, see `events`). */
     LOOPSIM_WAKE_HOOK void schedule(Event ev, bool lazy = false);
     void processEvents(Cycle now);
 
-    /** Can this op's ExecStart ride the lazy queue? True for plain
+    /** Can this op's ExecStart be a lazy event? True for plain
      *  functional-unit ops on non-DRA machines: their execution only
      *  writes timestamps, flips the entry to Done and schedules a lazy
      *  Writeback — no port message, no squash, no same-cycle effect on
@@ -338,7 +301,7 @@ class Core : public Clocked, public IntegrityProbe
      * mutation that can advance an entry's eligibility arms one of
      * these structures (DESIGN.md §14):
      *
-     *  - wakeTimer: calendar ring of (cycle, ref) — "this InIq
+     *  - wakeTimer: calendar queue of (cycle, ref) — "this InIq
      *    entry's gates may all be satisfied at `cycle`". Drained
      *    entries join clusterReady.
      *  - clusterReady: per-cluster map keyed by fetchStamp — the
@@ -346,7 +309,7 @@ class Core : public Clocked, public IntegrityProbe
      *    Entries are re-validated against the full reference
      *    predicate at every evaluation, so stale refs are erased, not
      *    trusted.
-     *  - confirmTimer: calendar ring of (cycle, ref) — "this
+     *  - confirmTimer: calendar queue of (cycle, ref) — "this
      *    Issued/Done entry may confirm-free at `cycle`".
      *  - readyRecheck: kill victims reverted to InIq this cycle; the
      *    next issue pass re-inserts them (reissue can happen in the
@@ -360,14 +323,14 @@ class Core : public Clocked, public IntegrityProbe
     LOOPSIM_WAKE_HOOK void
     armWakeTimer(Cycle at, InstRef ref)
     {
-        wakeTimer.push(at, ref);
+        wakeTimer.push({at, ref});
         noteIqWake(at);
     }
 
     LOOPSIM_WAKE_HOOK void
     armConfirmTimer(Cycle at, InstRef ref)
     {
-        confirmTimer.push(at, ref);
+        confirmTimer.push({at, ref});
         noteIqWake(at);
     }
 
@@ -585,24 +548,20 @@ class Core : public Clocked, public IntegrityProbe
     std::vector<ThreadState> threads;
     std::deque<PendingInsert> renamePipe;
 
-    /** Waking events: their cycles feed nextActivity(), so the wheel
-     *  always ticks the core when one is due. */
-    LOOPSIM_WAKE_STATE
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        events;
-    /** Lazy events (Writebacks, plus ExecStarts that pass
-     *  lazyExecEligible()): updates whose effects are unobservable
-     *  until the next read, which can only happen inside a tick.
-     *  They do NOT wake the wheel; instead
-     *  processEvents() drains both queues in exact dense heap order
-     *  at whatever tick comes next, passing each event its own cycle.
+    /** Pipeline events, drained by processEvents() in exact
+     *  (cycle, type, order) order. Waking events' cycles feed
+     *  nextActivity(), so the wheel always ticks the core when one is
+     *  due. Lazy events (Writebacks, plus ExecStarts that pass
+     *  lazyExecEligible()) are updates whose effects are unobservable
+     *  until the next read, which can only happen inside a tick: they
+     *  do NOT wake the wheel, and drain at whatever tick comes next,
+     *  in their exact place in the order, each with its own cycle.
      *  Since no tick ran between a lazy event's cycle and its drain,
      *  the state its handler inspects (liveness, expected produce
      *  cycle) is frozen at the value the dense kernel saw — so the
      *  late application is bit-identical, and a Writeback-only cycle
      *  costs no tick at all. */
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        lazyEvents;
+    LOOPSIM_WAKE_STATE EventQueue events;
     std::uint64_t eventOrder = 0;
 
     /** @name The three paper feedback loops, as checked ports */
@@ -641,154 +600,35 @@ class Core : public Clocked, public IntegrityProbe
     std::vector<std::uint64_t> scratchWinnerAge;
     std::vector<std::uint8_t> scratchReady;
     /// @}
+    /** killDependencyTree()'s work stack (reused per kill). */
+    std::vector<InstRef> killStack;
 
-    /** A timer entry: @p ref may act at cycle @p at. Drain order
-     *  among equal cycles is immaterial because drained refs are
-     *  re-validated (wake) or independent (confirm frees commute). */
+    /** A timer entry: @p ref may act at @p cycle. Drain order among
+     *  equal cycles is immaterial because drained refs are
+     *  re-validated (wake) or independent (confirm frees commute).
+     *  Timers are calendar-queue entries (calendar_queue.hh): a push
+     *  and a pop per issued instruction, O(1) each; a load wakeup in
+     *  Stall mode can sit a full memory latency out, past the ring's
+     *  horizon, in its overflow heap. The drain is exact — never an
+     *  entry with cycle > now — which the confirm pop rules rely on:
+     *  an early pop would misread a still-pending free as superseded
+     *  and leak the IQ slot. */
     struct ReadyTimer
     {
-        Cycle at;
+        Cycle cycle;
         InstRef ref;
-        bool operator>(const ReadyTimer &o) const { return at > o.at; }
+        bool operator>(const ReadyTimer &o) const
+        {
+            return cycle > o.cycle;
+        }
+        static constexpr bool wakes() { return true; }
     };
-
-    /** A calendar ring of pending (cycle, ref) timers: 64 one-cycle
-     *  buckets over the near horizon plus a min-heap for the rare
-     *  far-future arm (a load wakeup in Stall mode can sit a full
-     *  memory latency out; confirm and ALU wakeups are all within a
-     *  few pipeline latencies). The timers carry roughly one push and
-     *  one pop per issued instruction, which made global-heap
-     *  maintenance the largest single overhead of the sparse issue
-     *  stage; the ring makes both ends O(1).
-     *
-     *  The timing contract is exact, not amortised: drain(now) hands
-     *  over every entry with at <= now and never an entry with
-     *  at > now. The confirm pop rules rely on the second half —
-     *  an early pop would misread a still-pending free as superseded
-     *  and leak the IQ slot. Buckets therefore store the armed cycle
-     *  and flush re-files anything a bucket collision filed early
-     *  (possible only for arms issued from inside a drain callback
-     *  while a >= 64-cycle backlog flushes). */
-    class TimerRing
-    {
-      public:
-        /** Arm @p ref for cycle @p at. A past-due @p at is clamped up
-         *  to the next undrained cycle: it fires at the next drain,
-         *  exactly as a past-due key in a min-heap would. */
-        void
-        push(Cycle at, InstRef ref)
-        {
-            if (at < head)
-                at = head;
-            if (at - head >= size) {
-                overflow.push({at, ref});
-                return;
-            }
-            const unsigned b = static_cast<unsigned>(at) & mask;
-            slots[b].push_back({at, ref});
-            occupied |= std::uint64_t{1} << b;
-        }
-
-        /** Invoke @p f on every ref armed for a cycle <= @p now.
-         *  @p f may push() (a confirm drain can re-arm itself). */
-        template <typename F>
-        void
-        drain(Cycle now, F &&f)
-        {
-            while (!overflow.empty() && overflow.top().at <= now) {
-                const InstRef ref = overflow.top().ref;
-                overflow.pop();
-                f(ref);
-            }
-            if (now < head)
-                return;
-            const Cycle from = head;
-            head = now + 1;
-            if (!occupied)
-                return;
-            if (now - from >= size - 1) {
-                // Every bucket's cycle is due; flush the snapshot
-                // (callback pushes re-set bits for future cycles).
-                std::uint64_t due = occupied;
-                occupied = 0;
-                while (due) {
-                    const unsigned b = static_cast<unsigned>(
-                        std::countr_zero(due));
-                    due &= due - 1;
-                    flush(b, now, f);
-                }
-                return;
-            }
-            for (Cycle c = from; c <= now; ++c) {
-                const unsigned b = static_cast<unsigned>(c) & mask;
-                if (occupied & (std::uint64_t{1} << b)) {
-                    occupied &= ~(std::uint64_t{1} << b);
-                    flush(b, now, f);
-                }
-            }
-        }
-
-        /** Earliest armed cycle (>= the next undrained cycle), or
-         *  invalidCycle when nothing is armed. */
-        Cycle
-        nextDue() const
-        {
-            Cycle best =
-                overflow.empty() ? invalidCycle : overflow.top().at;
-            if (occupied) {
-                const unsigned idx = static_cast<unsigned>(head) & mask;
-                const Cycle ring_due =
-                    head + static_cast<unsigned>(std::countr_zero(
-                               std::rotr(occupied, idx)));
-                best = std::min(best, ring_due);
-            }
-            return best;
-        }
-
-        /** Forget everything; bucket capacity is kept. */
-        void
-        reset()
-        {
-            for (auto &s : slots)
-                s.clear();
-            scratch.clear();
-            occupied = 0;
-            head = 0;
-            overflow = {};
-        }
-
-      private:
-        template <typename F>
-        void
-        flush(unsigned b, Cycle now, F &&f)
-        {
-            scratch.clear();
-            scratch.swap(slots[b]);
-            for (const ReadyTimer &t : scratch) {
-                if (t.at <= now)
-                    f(t.ref);
-                else
-                    push(t.at, t.ref); // filed early by a collision
-            }
-        }
-
-        static constexpr unsigned size = 64;
-        static constexpr unsigned mask = size - 1;
-        std::array<std::vector<ReadyTimer>, size> slots;
-        std::vector<ReadyTimer> scratch;
-        std::uint64_t occupied = 0;
-        Cycle head = 0; ///< everything below has been drained
-        std::priority_queue<ReadyTimer, std::vector<ReadyTimer>,
-                            std::greater<ReadyTimer>>
-            overflow;
-    };
-
     /** @name Incremental ready tracking (sparse kernel only; empty
      *  and unread under the dense reference). See the arm helpers
      *  above and DESIGN.md §14. */
     /// @{
-    LOOPSIM_WAKE_STATE TimerRing wakeTimer;
-    LOOPSIM_WAKE_STATE TimerRing confirmTimer;
+    LOOPSIM_WAKE_STATE CalendarQueue<ReadyTimer> wakeTimer;
+    LOOPSIM_WAKE_STATE CalendarQueue<ReadyTimer> confirmTimer;
     /** A select candidate: fetchStamp plus ref. fetchStamps are
      *  unique and stable across reissue, so the stamp doubles as the
      *  dedup identity. */

@@ -261,8 +261,10 @@ Core::issueWinner(InstRef ref, Cycle now)
     // wake computation's retire clause cover the cycles at which
     // that Done becomes stage-visible). Loads, stores, branches
     // and DRA executions wake the wheel at the exact cycle.
-    schedule(Event{now + cfg.iqExLatency, EventType::ExecStart, 0,
-                   ref, now, invalidPhysReg, invalidCycle},
+    schedule(Event{.cycle = now + cfg.iqExLatency,
+                   .type = EventType::ExecStart,
+                   .ref = ref,
+                   .issueStamp = now},
              lazyExecEligible(inst.op));
 }
 
@@ -326,7 +328,8 @@ Core::issueIncremental(Cycle now)
     // (a reissue armed a later one), or defers to the hook that owns
     // the next transition (pending events re-arm at their last
     // decrement, InIq reverts re-enter via readyRecheck).
-    confirmTimer.drain(now, [this, now](InstRef ref) {
+    confirmTimer.drain(now, [this, now](const ReadyTimer &timer) {
+        const InstRef ref = timer.ref;
 #ifdef LOOPSIM_WAKE_DIAG
         ++diagIncrConfirmPops;
 #endif
@@ -366,7 +369,8 @@ Core::issueIncremental(Cycle now)
     // join their cluster's candidate set at the armed cycle. The set
     // keys by fetchStamp, so duplicates collapse and iteration is
     // oldest-first — the reference arbiter's order.
-    wakeTimer.drain(now, [this](InstRef ref) {
+    wakeTimer.drain(now, [this](const ReadyTimer &timer) {
+        const InstRef ref = timer.ref;
 #ifdef LOOPSIM_WAKE_DIAG
         ++diagIncrWakePops;
 #endif
@@ -496,8 +500,8 @@ Core::issueIncremental(Cycle now)
     // were noted above (losers via the contention note, held loads
     // via their clear cycle, late inserts via insert+1), and the
     // timer heads arm the next confirm/wake cycles.
-    noteIqWake(confirmTimer.nextDue());
-    noteIqWake(wakeTimer.nextDue());
+    noteIqWake(confirmTimer.nextWake());
+    noteIqWake(wakeTimer.nextWake());
 #ifdef LOOPSIM_WAKE_DIAG
     if (diagIncrIssued + diagIncrConfirmPops + diagIncrWakePops +
             diagIncrHeld ==
@@ -586,9 +590,10 @@ Core::handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
     std::uint64_t payload_sid =
         operandPort.send(detect, cfg.loadFeedback + cfg.regfileLatency,
                          OperandMissMsg{miss_mask});
-    schedule(Event{signal + cfg.regfileLatency,
-                   EventType::PayloadDelivery, 0, ref, invalidCycle,
-                   invalidPhysReg, invalidCycle, payload_sid});
+    schedule(Event{.cycle = signal + cfg.regfileLatency,
+                   .type = EventType::PayloadDelivery,
+                   .ref = ref,
+                   .signalId = payload_sid});
 
     std::uint64_t kill_sid =
         operandPort.send(detect, cfg.loadFeedback,
@@ -599,8 +604,10 @@ Core::handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
                                    cfg.loadFeedback);
     }
     ++inst.pendingEvents;
-    schedule(Event{kill_at, EventType::OperandMissKill, 0, ref,
-                   invalidCycle, invalidPhysReg, invalidCycle, kill_sid});
+    schedule(Event{.cycle = kill_at,
+                   .type = EventType::OperandMissKill,
+                   .ref = ref,
+                   .signalId = kill_sid});
 
     // §5.4: the front end stalls while the missing operands are read
     // from the register file and forwarded to the instruction payload.
@@ -649,8 +656,10 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
             wakeReg(dest, std::max(notify,
                                    produce - cfg.iqExLatency));
         }
-        schedule(Event{fwd.writebackCycle(produce), EventType::Writeback,
-                       0, InstRef{}, invalidCycle, dest, produce});
+        schedule(Event{.cycle = fwd.writebackCycle(produce),
+                       .type = EventType::Writeback,
+                       .reg = dest,
+                       .expect = produce});
         inst.state = InstState::Done;
         return;
     }
@@ -676,8 +685,10 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
         // the IQ has processed the mis-speculation.
         wakeReg(dest, std::max(notify + 1, produce - advance));
     }
-    schedule(Event{fwd.writebackCycle(produce), EventType::Writeback, 0,
-                   InstRef{}, invalidCycle, dest, produce});
+    schedule(Event{.cycle = fwd.writebackCycle(produce),
+                   .type = EventType::Writeback,
+                   .reg = dest,
+                   .expect = produce});
 
     // The hit/miss outcome exists at the end of the L1 probe and loops
     // back to the IQ after the load feedback delay: stamp the signal
@@ -691,17 +702,21 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
         std::uint64_t sid =
             loadPort.send(resolved_at, cfg.loadFeedback,
                           LoadResolveMsg{inst.op.tid, inst.fetchStamp});
-        schedule(Event{notify, EventType::TlbTrap, 0, ref,
-                       inst.issueCycle, invalidPhysReg, invalidCycle,
-                       sid});
+        schedule(Event{.cycle = notify,
+                       .type = EventType::TlbTrap,
+                       .ref = ref,
+                       .issueStamp = inst.issueCycle,
+                       .signalId = sid});
     } else if (cfg.loadRecovery == LoadRecovery::Reissue) {
         ++inst.pendingEvents;
         std::uint64_t sid =
             loadPort.send(resolved_at, cfg.loadFeedback,
                           LoadResolveMsg{inst.op.tid, inst.fetchStamp});
-        schedule(Event{notify, EventType::LoadMissKill, 0, ref,
-                       inst.issueCycle, invalidPhysReg, invalidCycle,
-                       sid});
+        schedule(Event{.cycle = notify,
+                       .type = EventType::LoadMissKill,
+                       .ref = ref,
+                       .issueStamp = inst.issueCycle,
+                       .signalId = sid});
     } else if (cfg.loadRecovery == LoadRecovery::Refetch) {
         // §2.2.2: the alternative of squashing and refetching from the
         // first instruction after the load.
@@ -709,9 +724,11 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
         std::uint64_t sid =
             loadPort.send(resolved_at, cfg.loadFeedback,
                           LoadResolveMsg{inst.op.tid, inst.fetchStamp});
-        schedule(Event{notify, EventType::TlbTrap, 0, ref,
-                       inst.issueCycle, invalidPhysReg, invalidCycle,
-                       sid});
+        schedule(Event{.cycle = notify,
+                       .type = EventType::TlbTrap,
+                       .ref = ref,
+                       .issueStamp = inst.issueCycle,
+                       .signalId = sid});
     }
     // Stall mode needs no recovery: nothing issued speculatively.
 
@@ -728,9 +745,10 @@ Core::handleBranchExec(DynInst &inst, InstRef ref, Cycle exec_start)
     // Calls write the link register.
     if (inst.op.hasDest()) {
         prf.setActualReady(inst.physDest, resolve);
-        schedule(Event{fwd.writebackCycle(resolve), EventType::Writeback,
-                       0, InstRef{}, invalidCycle, inst.physDest,
-                       resolve});
+        schedule(Event{.cycle = fwd.writebackCycle(resolve),
+                       .type = EventType::Writeback,
+                       .reg = inst.physDest,
+                       .expect = resolve});
     }
 
     if (inst.branchResolved)
@@ -755,9 +773,11 @@ Core::handleBranchExec(DynInst &inst, InstRef ref, Cycle exec_start)
             redirect_at -= std::min<Cycle>(injector->earlyBranchRead(),
                                            cfg.branchFeedback);
         }
-        schedule(Event{redirect_at, EventType::BranchRedirect, 0, ref,
-                       inst.issueCycle, invalidPhysReg, invalidCycle,
-                       sid});
+        schedule(Event{.cycle = redirect_at,
+                       .type = EventType::BranchRedirect,
+                       .ref = ref,
+                       .issueStamp = inst.issueCycle,
+                       .signalId = sid});
     }
 }
 
@@ -800,10 +820,12 @@ Core::executeValid(DynInst &inst, InstRef ref, Cycle exec_start)
             std::uint64_t sid = loadPort.send(
                 exec_start + mem->l1Latency(), cfg.loadFeedback,
                 LoadResolveMsg{inst.op.tid, inst.fetchStamp});
-            schedule(Event{exec_start + mem->l1Latency() +
-                               cfg.loadFeedback,
-                           EventType::TlbTrap, 0, ref, inst.issueCycle,
-                           invalidPhysReg, invalidCycle, sid});
+            schedule(Event{.cycle = exec_start + mem->l1Latency() +
+                                    cfg.loadFeedback,
+                           .type = EventType::TlbTrap,
+                           .ref = ref,
+                           .issueStamp = inst.issueCycle,
+                           .signalId = sid});
         }
         break;
       }
@@ -817,9 +839,10 @@ Core::executeValid(DynInst &inst, InstRef ref, Cycle exec_start)
         inst.state = InstState::Done;
         if (inst.op.hasDest()) {
             prf.setActualReady(inst.physDest, produce);
-            schedule(Event{fwd.writebackCycle(produce),
-                           EventType::Writeback, 0, InstRef{},
-                           invalidCycle, inst.physDest, produce});
+            schedule(Event{.cycle = fwd.writebackCycle(produce),
+                           .type = EventType::Writeback,
+                           .reg = inst.physDest,
+                           .expect = produce});
         }
         break;
       }
@@ -970,9 +993,11 @@ Core::handleStoreOrdering(DynInst &inst, Cycle exec_start)
     std::uint64_t sid = loadPort.send(
         exec_start + mem->l1Latency(), cfg.loadFeedback,
         LoadResolveMsg{load.op.tid, load.fetchStamp - 1});
-    schedule(Event{exec_start + mem->l1Latency() + cfg.loadFeedback,
-                   EventType::OrderTrap, 0, victim, invalidCycle,
-                   invalidPhysReg, invalidCycle, sid});
+    schedule(Event{.cycle = exec_start + mem->l1Latency() +
+                            cfg.loadFeedback,
+                   .type = EventType::OrderTrap,
+                   .ref = victim,
+                   .signalId = sid});
 }
 
 void

@@ -135,17 +135,17 @@ Core::computeWake(Cycle now)
     };
 #endif
 
-    // Pipeline events: the waking queue's head is the earliest due
-    // (processEvents pops everything due, so whatever remains is
-    // strictly future). The lazy queue is deliberately absent — its
-    // events have no observable effect until some later tick reads
-    // the timestamps they carry (retire eligibility of a lazily
-    // executed ALU op is covered by the retire clause below).
-    if (!events.empty()) {
+    // Pipeline events: the earliest waking one (processEvents pops
+    // everything due, so whatever remains is strictly future). Lazy
+    // events are deliberately absent — they have no observable effect
+    // until some later tick reads the timestamps they carry (retire
+    // eligibility of a lazily executed ALU op is covered by the
+    // retire clause below).
+    if (const Cycle ev = events.nextWake(); ev != invalidCycle) {
 #ifdef LOOPSIM_WAKE_DIAG
         clause = 0;
 #endif
-        consider(std::max(events.top().cycle, next));
+        consider(std::max(ev, next));
     }
 
     // The issue stage: its own fused scan (or a hook since then)
@@ -163,7 +163,7 @@ Core::computeWake(Cycle now)
         if (t.rob.empty())
             continue;
         const DynInst &inst = pool.get(t.rob.head());
-        // A head whose ExecStart sits on the lazy queue is still
+        // A head whose ExecStart is still a pending lazy event is
         // Issued here; it turns Done (with produce = exec start +
         // latency and no pending events) the moment that event
         // drains, so its retire cycle is already computable. A
@@ -335,14 +335,14 @@ Core::prepareKernel(KernelMode mode)
         const DynInst &inst = pool.get(ref);
         if (inst.state == InstState::InIq) {
             if (!inst.waitingRecovery)
-                wakeTimer.push(0, ref);
+                wakeTimer.push({0, ref});
             continue;
         }
         // Issued or Done: the pending confirm (if any) is the entry's
         // next transition. Entries gated on pending events re-arm at
         // the last decrement, but arming here too is merely early.
         if (inst.confirmCycle != invalidCycle)
-            confirmTimer.push(inst.confirmCycle, ref);
+            confirmTimer.push({inst.confirmCycle, ref});
     }
 }
 

@@ -11,6 +11,7 @@
 #define LOOPSIM_CORE_DYN_INST_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -64,72 +65,91 @@ enum class InstState : std::uint8_t
     Retired,  ///< retired this cycle (transient, then Empty)
 };
 
+/**
+ * The in-flight record. Hot fields first: the per-entry state that the
+ * issue evaluation, wake arm, confirm pop, retire check and
+ * InstPool::live()/get() read on every touch fills the first 64 bytes
+ * (DESIGN.md §14 "Hot-first DynInst"); the op, the timeline cycles,
+ * the dependence links and the memory/store state follow.
+ */
 struct DynInst
 {
-    MicroOp op;
+    /** @name Hot: read on every issue pass, wake, confirm and retire */
+    /// @{
     std::uint32_t gen = 0;
     InstState state = InstState::Empty;
-
-    /** Global fetch-order stamp (age across threads). */
-    std::uint64_t fetchStamp = 0;
     ClusterId cluster = 0;
     /** Dense index of this instruction's IQ slot (managed by the IQ). */
     std::uint16_t iqSlot = 0xffff;
 
-    /** @name Rename results */
-    /// @{
+    /** Global fetch-order stamp (age across threads). */
+    std::uint64_t fetchStamp = 0;
+
+    /** Renamed sources and destination. */
     std::array<PhysReg, 2> physSrc{invalidPhysReg, invalidPhysReg};
     PhysReg physDest = invalidPhysReg;
-    PhysReg prevPhysDest = invalidPhysReg;
+    /** Blocked awaiting an operand-miss recovery delivery. Clearing
+     *  it re-arms issue eligibility: writers owe a wake note. */
+    LOOPSIM_WAKE_STATE bool waitingRecovery = false;
+    bool execValid = false; ///< last execution had real operands
+
+    /** Loop events (kills, traps, redirects) scheduled but not yet
+     *  processed; retire is blocked while non-zero. */
+    unsigned pendingEvents = 0;
+    /** Operand already sits in the IQ payload (pre-read or after an
+     *  operand-miss recovery): no lookup needed at execute. */
+    std::array<bool, 2> operandInPayload{false, false};
+    bool mispredicted = false; ///< resolved as a misprediction
+    /** The redirect for this mispredicted branch has been performed. */
+    bool redirectDone = false;
+
+    Cycle insertCycle = invalidCycle;  ///< IQ insertion
+    Cycle issueCycle = invalidCycle;   ///< most recent issue
+    /** Lowering the confirm cycle can free the IQ slot earlier:
+     *  writers owe a noteIqWake() (see base/annotations.hh). */
+    LOOPSIM_WAKE_STATE
+    Cycle confirmCycle = invalidCycle; ///< IQ entry may clear
+    Cycle produceCycle = invalidCycle; ///< actual data ready (valid exec)
+    /// @}
+
+    MicroOp op;
+
+    /** @name Timeline */
+    /// @{
+    Cycle fetchCycle = invalidCycle;
+    Cycle renameCycle = invalidCycle;
+    Cycle firstIssueCycle = invalidCycle;
+    Cycle execStartCycle = invalidCycle;
+    /// @}
+
+    /** @name Dependence links */
+    /// @{
     /** In-flight producers of the sources at rename time. */
     std::array<InstRef, 2> srcProducer{};
     /** Instructions that named this one as a source producer. */
     std::vector<InstRef> consumers;
     /// @}
 
-    /** @name Timing */
+    /** @name Memory and store ordering */
     /// @{
-    Cycle fetchCycle = invalidCycle;
-    Cycle renameCycle = invalidCycle;
-    Cycle insertCycle = invalidCycle;  ///< IQ insertion
-    Cycle issueCycle = invalidCycle;   ///< most recent issue
-    Cycle firstIssueCycle = invalidCycle;
-    Cycle execStartCycle = invalidCycle;
-    Cycle produceCycle = invalidCycle; ///< actual data ready (valid exec)
-    /** Lowering the confirm cycle can free the IQ slot earlier:
-     *  writers owe a noteIqWake() (see base/annotations.hh). */
-    LOOPSIM_WAKE_STATE
-    Cycle confirmCycle = invalidCycle; ///< IQ entry may clear
-    /// @}
-
-    /** @name Execution status */
-    /// @{
-    unsigned timesIssued = 0;
-    bool execValid = false;     ///< last execution had real operands
-    bool memDone = false;       ///< load/store access performed
     MemAccessResult memResult{};
-    bool branchResolved = false;
-    bool mispredicted = false;  ///< resolved as a misprediction
-    /** Operand already sits in the IQ payload (pre-read or after an
-     *  operand-miss recovery): no lookup needed at execute. */
-    std::array<bool, 2> operandInPayload{false, false};
-    /** The payload copy came from a miss recovery (not a pre-read),
-     *  so it must not be re-counted in the Figure 9 breakdown. */
-    std::array<bool, 2> payloadFromRecovery{false, false};
-    /** Blocked awaiting an operand-miss recovery delivery. Clearing
-     *  it re-arms issue eligibility: writers owe a wake note. */
-    LOOPSIM_WAKE_STATE bool waitingRecovery = false;
-    /** The redirect for this mispredicted branch has been performed. */
-    bool redirectDone = false;
-    /** Loop events (kills, traps, redirects) scheduled but not yet
-     *  processed; retire is blocked while non-zero. */
-    unsigned pendingEvents = 0;
-    /** Figure 6 operand-availability gap already sampled. */
-    bool gapSampled = false;
     /** Stores: per-thread store sequence number (memory ordering). */
     std::uint64_t storeSeq = 0;
     /** Loads: count of older same-thread stores at rename. */
     std::uint64_t olderStores = 0;
+    /// @}
+
+    /** @name Cold execution status */
+    /// @{
+    unsigned timesIssued = 0;
+    PhysReg prevPhysDest = invalidPhysReg;
+    bool memDone = false; ///< load/store access performed
+    bool branchResolved = false;
+    /** The payload copy came from a miss recovery (not a pre-read),
+     *  so it must not be re-counted in the Figure 9 breakdown. */
+    std::array<bool, 2> payloadFromRecovery{false, false};
+    /** Figure 6 operand-availability gap already sampled. */
+    bool gapSampled = false;
     /** Store counted as executed in the thread's ordering state. */
     bool storeExecCounted = false;
     /// @}
@@ -145,6 +165,10 @@ struct DynInst
                state == InstState::Done;
     }
 };
+
+static_assert(offsetof(DynInst, op) == 64,
+              "DynInst hot fields no longer fill exactly one cache line");
+static_assert(sizeof(DynInst) == 224, "DynInst layout drifted");
 
 /**
  * Fixed-capacity pool of DynInst with generation counters. The pool
@@ -174,14 +198,12 @@ class InstPool
         PoolIdx idx = freeList.back();
         freeList.pop_back();
         DynInst &inst = slots[idx];
-        std::uint32_t gen = inst.gen + 1;
-        // Recycle the consumers vector's heap buffer across the slot
-        // reset: release() clears it but keeps capacity, so steady-state
-        // allocation performs no heap traffic at all.
-        std::vector<InstRef> recycled = std::move(inst.consumers);
-        recycled.clear();
-        inst = DynInst{};
-        inst.consumers = std::move(recycled);
+        const std::uint32_t gen = inst.gen + 1;
+        // Copy-assigning the blank record resets every field; copying
+        // its empty consumers list keeps this slot's heap buffer
+        // (release() cleared it), so steady-state allocation performs
+        // no heap traffic at all.
+        inst = blank;
         inst.gen = gen;
         inst.state = InstState::Renamed;
         if (static_cast<int>(idx) == tracedIdx) [[unlikely]] {
@@ -236,6 +258,9 @@ class InstPool
     }
 
   private:
+    /** The reset value of a slot (see alloc). */
+    static inline const DynInst blank{};
+
     std::vector<DynInst> slots;
     std::vector<PoolIdx> freeList;
     /** Debug aid: LOOPSIM_TRACE_POOL=<idx> logs slot transitions. */

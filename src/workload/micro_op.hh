@@ -52,21 +52,27 @@ unsigned opClassLatency(OpClass cls);
  */
 struct MicroOp
 {
+    // Fields ordered by size (48 bytes, no interior padding); nothing
+    // depends on member order (the trace file packs field by field).
+
     /** Program-order sequence number within the thread's trace. */
     SeqNum seq = invalidSeqNum;
-    ThreadId tid = 0;
     Addr pc = 0;
-
-    OpClass opClass = OpClass::Nop;
+    /** Branch target (valid when isBranch()). */
+    Addr target = 0;
+    /** Memory annotations (valid when isLoad()/isStore()). */
+    Addr effAddr = 0;
 
     /** Architectural sources; invalidArchReg when absent. */
     std::array<ArchReg, 2> src{invalidArchReg, invalidArchReg};
     /** Architectural destination; invalidArchReg when absent. */
     ArchReg dest = invalidArchReg;
 
-    /** Branch annotations (valid when isBranch()). */
+    ThreadId tid = 0;
+    OpClass opClass = OpClass::Nop;
+
+    /** Branch direction (valid when isBranch()). */
     bool taken = false;
-    Addr target = 0;
     /**
      * Profile-mode prediction outcome: when the core runs with
      * branch.mode=profile, this branch mispredicts iff the flag is set
@@ -74,9 +80,6 @@ struct MicroOp
      * ones). Ignored in predictor mode.
      */
     bool forceMispredict = false;
-
-    /** Memory annotations (valid when isLoad()/isStore()). */
-    Addr effAddr = 0;
 
     /** True for synthetic wrong-path filler (never retires). */
     bool wrongPath = false;
@@ -106,6 +109,8 @@ struct MicroOp
     /** One-line human-readable rendering for debug traces. */
     std::string toString() const;
 };
+
+static_assert(sizeof(MicroOp) == 48, "MicroOp layout drifted");
 
 } // namespace loopsim
 

@@ -73,6 +73,69 @@ TEST(DebugFlags, EnvTraceTargetReadsTheVariable)
     ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
 }
 
+namespace
+{
+
+/** The message of the FatalError @p f throws ("" if it returns). */
+template <typename F>
+std::string
+fatalMessage(F &&f)
+{
+    try {
+        f();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // anonymous namespace
+
+TEST(DebugFlags, EnvTraceTargetRejectsJunk)
+{
+    // Each is fatal, naming the variable: a typo must not trace some
+    // other slot without a word.
+    const char *var = "LOOPSIM_TEST_TRACE_TARGET";
+    for (const char *bad : {"", "abc", "-1", "-0x3", "3x", " 3", "3 ",
+                            "+3", "1e2", "99999999999"}) {
+        ::setenv(var, bad, 1); // NOLINT(concurrency-mt-unsafe)
+        const std::string msg =
+            fatalMessage([&] { debug::envTraceTarget(var); });
+        EXPECT_NE(msg.find(var), std::string::npos)
+            << "value '" << bad << "' was accepted";
+    }
+    ::setenv(var, "0", 1); // NOLINT(concurrency-mt-unsafe)
+    EXPECT_EQ(debug::envTraceTarget(var), 0);
+    ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
+}
+
+TEST(DebugFlags, BadPoolTraceTargetFailsConstruction)
+{
+    // InstPool latches LOOPSIM_TRACE_POOL at construction: a bad value
+    // fails there, before any simulation runs.
+    ::setenv("LOOPSIM_TRACE_POOL", "abc", 1); // NOLINT(concurrency-mt-unsafe)
+    const std::string msg = fatalMessage([] { InstPool pool(4); });
+    ::unsetenv("LOOPSIM_TRACE_POOL"); // NOLINT(concurrency-mt-unsafe)
+    EXPECT_NE(msg.find("LOOPSIM_TRACE_POOL"), std::string::npos) << msg;
+}
+
+TEST(DebugFlags, PoolAndRegFlagsNameTheirVariable)
+{
+    // Pool/Reg only label lines; a flag list cannot switch them, so
+    // naming one fails like an unknown flag and says what does.
+    FlagGuard guard;
+    debug::clearFlags();
+    EXPECT_NE(fatalMessage([] { debug::setFlags("Issue,Pool"); })
+                  .find("LOOPSIM_TRACE_POOL"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([] { debug::setFlags("reg"); })
+                  .find("LOOPSIM_TRACE_REG"),
+              std::string::npos);
+    debug::clearFlags();
+    debug::setFlags("All");
+    EXPECT_TRUE(debug::enabled(debug::Flag::Issue));
+}
+
 TEST(DebugFlags, NamesAreDistinct)
 {
     std::set<std::string> names;

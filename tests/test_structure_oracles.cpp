@@ -1,21 +1,27 @@
 /**
  * @file
- * Differential oracles for the indexed per-op structures: the hashed
- * TLB and the reg-indexed cluster register cache are driven side by
- * side with the linear-search implementations they replaced, through
- * long randomised sequences, and must agree on every return value,
- * statistic, probe and occupancy. The dense/sparse kernel differential
- * cannot catch a bug here, because both kernels share these
- * structures.
+ * Differential oracles for the per-op structures both kernels share:
+ * the hashed TLB, the reg-indexed cluster register cache, the calendar
+ * event queue and the O(1) op-mix sampler are driven side by side with
+ * the implementations they replaced (linear search, a binary heap, a
+ * binary search over cumulative weights), through long randomised
+ * sequences, and must agree on every return value, statistic, probe
+ * and occupancy. The dense/sparse kernel differential cannot catch a
+ * bug here, because both kernels share these structures.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <queue>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "base/random.hh"
 #include "base/types.hh"
+#include "core/event_queue.hh"
 #include "dra/crc.hh"
 #include "mem/tlb.hh"
 
@@ -223,7 +229,306 @@ expectSameCrc(const ClusterRegisterCache &crc, const LinearCrc &ref,
     ASSERT_EQ(crc.occupancy(), ref.occupancy()) << "step " << step;
 }
 
+/** The pipeline's event order, stated independently of Event's own
+ *  operator>: cycle, then type, then scheduling order. */
+struct HeapOrder
+{
+    bool
+    operator()(const Event &a, const Event &b) const
+    {
+        return std::tuple(a.cycle, a.type, a.order) >
+               std::tuple(b.cycle, b.type, b.order);
+    }
+};
+
+/** The two binary heaps the calendar queue replaced, as one heap (the
+ *  merged drain popped exactly its order), plus the waking cycles
+ *  nextWake() must report. */
+class HeapEventQueue
+{
+  public:
+    void
+    push(const Event &e)
+    {
+        heap.push(e);
+        if (!e.lazy)
+            waking.insert(e.cycle);
+    }
+
+    bool
+    pop(Cycle now, Event &out)
+    {
+        if (heap.empty() || heap.top().cycle > now)
+            return false;
+        out = heap.top();
+        heap.pop();
+        if (!out.lazy)
+            waking.erase(waking.find(out.cycle));
+        return true;
+    }
+
+    Cycle
+    nextWake() const
+    {
+        return waking.empty() ? invalidCycle : *waking.begin();
+    }
+
+    std::size_t size() const { return heap.size(); }
+
+    void
+    reset()
+    {
+        heap = {};
+        waking.clear();
+    }
+
+  private:
+    std::priority_queue<Event, std::vector<Event>, HeapOrder> heap;
+    std::multiset<Cycle> waking;
+};
+
+/**
+ * Drive @p cal and the heap through @p steps rounds of a core-like
+ * loop: schedule a few events, advance time (usually one cycle,
+ * sometimes a gap, sometimes a gap longer than the ring), then drain
+ * everything due while the "handlers" schedule more — below the event
+ * being drained, at its cycle, at now, and beyond the horizon. Few
+ * types and near cycles make equal (cycle, type) keys common.
+ */
+void
+driveEventQueues(EventQueue &cal, std::uint64_t seed, int steps)
+{
+    HeapEventQueue ref;
+    Pcg32 rng(seed);
+    std::uint64_t order = 0;
+    Cycle now = 0;
+
+    auto make = [&](Cycle c) {
+        Event e;
+        e.cycle = c;
+        e.type = static_cast<EventType>(rng.nextBounded(8));
+        e.lazy = rng.chance(0.5);
+        e.order = ++order;
+        return e;
+    };
+    auto pushBoth = [&](const Event &e) {
+        cal.push(e);
+        ref.push(e);
+    };
+    auto below = [&](Cycle c) {
+        return c - std::min<Cycle>(c, rng.nextBounded(5));
+    };
+    auto expectSameEvent = [&](const Event &a, const Event &b, int step) {
+        ASSERT_EQ(a.order, b.order) << "seed " << seed << " step " << step;
+        ASSERT_EQ(a.cycle, b.cycle);
+        ASSERT_EQ(a.type, b.type);
+        ASSERT_EQ(a.lazy, b.lazy);
+    };
+
+    for (int step = 0; step < steps; ++step) {
+        // Stage-time schedules: mostly a few cycles out; some late
+        // (lazy events drained after their cycle), some past the
+        // ring's horizon or right at its edge.
+        for (std::uint32_t n = rng.nextBounded(6); n > 0; --n) {
+            switch (rng.nextBounded(10)) {
+              case 0: pushBoth(make(below(now))); break;
+              case 1: pushBoth(make(now + 64 + rng.nextBounded(300))); break;
+              case 2: pushBoth(make(now + 60 + rng.nextBounded(8))); break;
+              default: pushBoth(make(now + 1 + rng.nextBounded(6))); break;
+            }
+        }
+        ASSERT_EQ(cal.nextWake(), ref.nextWake()) << "step " << step;
+        ASSERT_EQ(cal.size(), ref.size());
+
+        const std::uint32_t g = rng.nextBounded(40);
+        now += g == 0 ? 65 + rng.nextBounded(200)
+                      : g < 4 ? 2 + rng.nextBounded(12) : 1;
+
+        Event a;
+        Event b;
+        while (true) {
+            const bool got = cal.pop(now, a);
+            ASSERT_EQ(got, ref.pop(now, b)) << "step " << step;
+            if (!got)
+                break;
+            expectSameEvent(a, b, step);
+            // Handler-time schedules, including at or below the cycle
+            // being drained: they must pop in this same drain.
+            if (rng.chance(0.3)) {
+                switch (rng.nextBounded(6)) {
+                  case 0: pushBoth(make(below(a.cycle))); break;
+                  case 1: pushBoth(make(a.cycle)); break;
+                  case 2: pushBoth(make(now)); break;
+                  case 3: pushBoth(make(now + 70 + rng.nextBounded(100)));
+                    break;
+                  default: pushBoth(make(now + 1 + rng.nextBounded(4)));
+                    break;
+                }
+            }
+        }
+        ASSERT_EQ(cal.nextWake(), ref.nextWake()) << "step " << step;
+        ASSERT_EQ(cal.size(), ref.size());
+    }
+}
+
+/** The binary search over cumulative weights the sampler replaced. */
+std::size_t
+upperBoundSample(const std::vector<double> &weights, std::uint32_t draw)
+{
+    std::vector<double> cumulative;
+    double sum = 0.0;
+    for (double w : weights) {
+        sum += w;
+        cumulative.push_back(sum);
+    }
+    const double u = draw * (1.0 / 4294967296.0) * sum;
+    auto it = std::upper_bound(cumulative.begin(), cumulative.end(), u);
+    if (it == cumulative.end())
+        --it;
+    return static_cast<std::size_t>(it - cumulative.begin());
+}
+
+/** A weight vector of 1..64 entries: zeros, a lone non-zero weight,
+ *  1e-12:1 ratios and plain random weights. */
+std::vector<double>
+randomWeights(Pcg32 &rng)
+{
+    const std::size_t n = 1 + rng.nextBounded(64);
+    std::vector<double> w(n);
+    switch (rng.nextBounded(4)) {
+      case 0: // one non-zero weight
+        w[rng.nextBounded(static_cast<std::uint32_t>(n))] =
+            0.5 + rng.nextDouble();
+        break;
+      case 1: // tiny next to large
+        for (double &x : w)
+            x = rng.chance(0.5) ? 1e-12 : 1.0;
+        w[0] = 1.0;
+        break;
+      default: // random, with zeros
+        for (double &x : w)
+            x = rng.chance(0.25) ? 0.0 : rng.nextDouble() * 100.0;
+        w[rng.nextBounded(static_cast<std::uint32_t>(n))] = 1.0;
+        break;
+    }
+    return w;
+}
+
 } // anonymous namespace
+
+TEST(EventQueueOracle, MatchesBinaryHeapOnRandomSchedules)
+{
+    // One queue object across runs: reset() between runs must leave
+    // nothing behind, with bucket capacity kept.
+    EventQueue cal;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        driveEventQueues(cal, seed, 20000);
+        if (HasFatalFailure())
+            return;
+        cal.reset();
+        EXPECT_TRUE(cal.empty());
+        EXPECT_EQ(cal.nextWake(), invalidCycle);
+    }
+}
+
+TEST(EventQueueOracle, LazyEventsNeverWakeAndDrainInOrder)
+{
+    EventQueue q;
+    auto ev = [](Cycle c, EventType t, std::uint64_t order, bool lazy) {
+        Event e;
+        e.cycle = c;
+        e.type = t;
+        e.order = order;
+        e.lazy = lazy;
+        return e;
+    };
+    q.push(ev(5, EventType::Writeback, 1, true));
+    q.push(ev(500, EventType::Writeback, 2, true)); // past the horizon
+    EXPECT_EQ(q.nextWake(), invalidCycle);
+    q.push(ev(9, EventType::ExecStart, 3, false));
+    q.push(ev(300, EventType::TlbTrap, 4, false)); // past the horizon
+    q.push(ev(9, EventType::Writeback, 5, true));
+    EXPECT_EQ(q.nextWake(), 9u);
+    EXPECT_EQ(q.size(), 5u);
+
+    // A late drain at cycle 20: the lazy cycle-5 writeback first, then
+    // cycle 9's writeback before its ExecStart (type before order).
+    Event e;
+    ASSERT_TRUE(q.pop(20, e));
+    EXPECT_EQ(e.order, 1u);
+    ASSERT_TRUE(q.pop(20, e));
+    EXPECT_EQ(e.order, 5u);
+    ASSERT_TRUE(q.pop(20, e));
+    EXPECT_EQ(e.order, 3u);
+    EXPECT_FALSE(q.pop(20, e));
+    EXPECT_EQ(q.nextWake(), 300u);
+
+    // Scheduled below the drained cycle after the drain: next pop.
+    q.push(ev(12, EventType::PayloadDelivery, 6, false));
+    EXPECT_EQ(q.nextWake(), 12u);
+    ASSERT_TRUE(q.pop(21, e));
+    EXPECT_EQ(e.order, 6u);
+    ASSERT_TRUE(q.pop(1000, e));
+    EXPECT_EQ(e.order, 4u);
+    ASSERT_TRUE(q.pop(1000, e));
+    EXPECT_EQ(e.order, 2u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(SamplerOracle, MatchesUpperBoundAtEveryThreshold)
+{
+    Pcg32 rng(0x5a3);
+    std::uint64_t random_draws = 0;
+    for (int vec = 0; vec < 300; ++vec) {
+        const std::vector<double> w = randomWeights(rng);
+        const DiscreteDistribution dist(w);
+        ASSERT_EQ(dist.size(), w.size());
+        auto check = [&](std::uint64_t d) {
+            if (d > 0xffffffffu)
+                return;
+            const auto draw = static_cast<std::uint32_t>(d);
+            ASSERT_EQ(dist.indexOf(draw), upperBoundSample(w, draw))
+                << "vector " << vec << " draw " << draw;
+        };
+        // Every point where the reference's result steps up, found by
+        // binary search over the draw, and its neighbours.
+        for (std::size_t i = 0; i + 1 < w.size(); ++i) {
+            std::uint64_t lo = 0;
+            std::uint64_t hi = std::uint64_t{1} << 32;
+            while (lo < hi) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                if (upperBoundSample(w, static_cast<std::uint32_t>(mid)) >
+                    i) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            check(lo - 1);
+            check(lo);
+            check(lo + 1);
+        }
+        // Both ends and every guide-table boundary.
+        for (std::uint64_t h = 0; h < 256; ++h) {
+            check(h << 24);
+            check((h << 24) + 1);
+            if (h > 0)
+                check((h << 24) - 1);
+        }
+        check(0xffffffffu);
+        // Random draws, through sample(): one next() per sample.
+        for (int k = 0; k < 4000; ++k) {
+            Pcg32 twin = rng;
+            const std::size_t got = dist.sample(rng);
+            ASSERT_EQ(got, upperBoundSample(w, twin.next()));
+            ASSERT_EQ(rng.next(), twin.next()) << "sample drew twice";
+            ++random_draws;
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GE(random_draws, 1000000u);
+}
 
 TEST(TlbOracle, MatchesLinearLruOnRandomMultiThreadStreams)
 {

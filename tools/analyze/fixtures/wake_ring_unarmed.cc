@@ -1,7 +1,7 @@
 /**
  * @file
  * POSITIVE wake-soundness fixtures for the incremental ready-tracking
- * mutation surface (src/core/core.hh TimerRing + per-cluster ready
+ * mutation surface (src/core/core.hh timer queues + per-cluster ready
  * sets, DESIGN.md §14): a structural copy of the arm-helper pattern
  * with the self-noting discharge "refactored" away. Each mutation
  * here can delay a sparse-kernel wake past the cycle the dense scan
