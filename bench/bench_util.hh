@@ -385,6 +385,7 @@ class CampaignRecorder
               << ", \"deadline_ms\": " << deadlineMs()
               << ", \"journal\": \"" << store::journalPath()
               << "\", \"isolated_runs\": " << t.isolatedRuns
+              << ", \"worker_spawns\": " << t.workerSpawns
               << ", \"crashes\": " << t.crashes
               << ", \"timeouts\": " << t.timeouts
               << ", \"spawn_retries\": " << t.spawnRetries

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <map>
@@ -183,6 +184,7 @@ cellTag(std::size_t index, const PlannedRun &cell)
 struct SupervisionCounters
 {
     std::atomic<std::size_t> isolatedRuns{0};
+    std::atomic<std::size_t> workerSpawns{0};
     std::atomic<std::size_t> crashes{0};
     std::atomic<std::size_t> timeouts{0};
     std::atomic<std::size_t> spawnRetries{0};
@@ -195,6 +197,7 @@ loadSupervisionCounters(CampaignTelemetry &t,
                         const SupervisionCounters &c)
 {
     t.isolatedRuns = c.isolatedRuns.load(std::memory_order_relaxed);
+    t.workerSpawns = c.workerSpawns.load(std::memory_order_relaxed);
     t.crashes = c.crashes.load(std::memory_order_relaxed);
     t.timeouts = c.timeouts.load(std::memory_order_relaxed);
     t.spawnRetries = c.spawnRetries.load(std::memory_order_relaxed);
@@ -242,6 +245,7 @@ CampaignTelemetry::accumulate(const CampaignTelemetry &other)
     memoHits += other.memoHits;
     resumed += other.resumed;
     isolatedRuns += other.isolatedRuns;
+    workerSpawns += other.workerSpawns;
     crashes += other.crashes;
     timeouts += other.timeouts;
     spawnRetries += other.spawnRetries;
@@ -443,18 +447,18 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     // scaling investigation: with short cells, every worker re-took
     // the overlay lock and re-built the default Config each time.
     // This also pins the whole campaign to the overlays in force at
-    // plan time, matching what the fingerprints hashed. The isolated
-    // path resolves per cell in the supervisor instead (the child
-    // must run against the pre-fork snapshot), so it skips this.
-    std::vector<Config> resolved(isolate ? 0 : plan.size());
-    if (!isolate) {
-        for (std::size_t i : pending)
-            resolved[i] = effectiveRunConfig(plan.at(i).spec);
-    }
+    // plan time, matching what the fingerprints hashed. Isolated
+    // workers fork after this point, so their memory snapshot holds
+    // every cell's Config and the child never takes the overlay mutex.
+    std::vector<Config> resolved(plan.size());
+    for (std::size_t i : pending)
+        resolved[i] = effectiveRunConfig(plan.at(i).spec);
+    if (isolate)
+        deadlineMs(); // a bad LOOPSIM_DEADLINE_MS exits here, not in a worker
 
     // Graceful shutdown scope: SIGINT/SIGTERM flips the drain flag,
-    // workers stop claiming cells, in-flight forked children are
-    // SIGKILLed and reaped by their supervising worker. `done[i]`
+    // workers stop claiming cells, in-flight isolated workers are
+    // SIGKILLed and reaped by their supervising thread. `done[i]`
     // marks slots whose result is real — an interrupted drain must
     // not journal or publish a default-constructed RunResult.
     ShutdownGuard shutdownGuard;
@@ -462,17 +466,28 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     std::vector<std::atomic<bool>> done(plan.size());
     SupervisionCounters counters;
 
-    auto executeOne = [&](std::size_t i) {
+    // What an isolated worker runs for cell i, in the child: the same
+    // computation as the in-process path, under that cell's warn() tag
+    // (a reused worker would otherwise keep the tag of the cell it was
+    // forked for).
+    const SupervisedWorker::Body isolatedCell = [&](std::size_t i) {
         DiagContext diag(cellTag(i, plan.at(i)));
-        if (isolate) {
+        return runOnceResilientWith(plan.at(i).spec, resolved[i], policy);
+    };
+
+    auto executeOne = [&](std::size_t i, SupervisedWorker *worker) {
+        DiagContext diag(cellTag(i, plan.at(i)));
+        if (worker) {
             SupervisedOutcome so;
             try {
-                so = runCellSupervised(plan.at(i).spec, policy,
-                                       plan.at(i).label);
+                so = worker->run(i, plan.at(i).spec, resolved[i],
+                                 plan.at(i).label);
             } catch (const std::exception &err) {
                 so.result = failSoftCell(plan.at(i), err.what());
             }
             counters.isolatedRuns.fetch_add(1,
+                                            std::memory_order_relaxed);
+            counters.workerSpawns.fetch_add(so.spawns,
                                             std::memory_order_relaxed);
             counters.crashes.fetch_add(so.crashes,
                                        std::memory_order_relaxed);
@@ -490,10 +505,20 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         } else {
             results[i] = runCell(plan.at(i), resolved[i], policy);
         }
-        // Journal as cells finish, not after the pool drains: a
-        // killed campaign then loses at most the entries in flight.
+        // Journal and publish as cells finish, on this thread, not
+        // after the pool drains: a killed campaign then loses at most
+        // the entries in flight, and the store writes overlap the
+        // other workers' cells. Every simulated cell enters the memo
+        // (failures included — a wedge is deterministic within this
+        // process), but only healthy results are persisted, so a
+        // future epoch or widened budget gets to retry failures.
         if (journal)
             journal->append(fps[i], results[i]);
+        if (memoize) {
+            store::processMemo().insert(fps[i], results[i]);
+            if (pstore && !results[i].failed)
+                pstore->insert(fps[i], results[i]);
+        }
         done[i].store(true, std::memory_order_release);
     };
 
@@ -506,8 +531,17 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     auto seconds = [](std::chrono::steady_clock::duration d) {
         return std::chrono::duration<double>(d).count();
     };
+    // One persistent worker process per pool thread under isolation,
+    // forked by its first cell and reaped when the thread is done —
+    // before runCampaign() returns or the drain exits.
+    auto workerFor = [&]() -> std::optional<SupervisedWorker> {
+        if (!isolate)
+            return std::nullopt;
+        return std::optional<SupervisedWorker>(std::in_place, isolatedCell);
+    };
     if (workers_wanted <= 1) {
         WorkerTelemetry &w = workerStats[0];
+        std::optional<SupervisedWorker> worker = workerFor();
         // loop:exempt(wall-clock telemetry only)
         const auto born = std::chrono::steady_clock::now();
         for (std::size_t i : pending) {
@@ -515,7 +549,7 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                 break;
             // loop:exempt(wall-clock telemetry only)
             const auto t0 = std::chrono::steady_clock::now();
-            executeOne(i);
+            executeOne(i, worker ? &*worker : nullptr);
             // loop:exempt(wall-clock telemetry only)
             w.busySeconds += seconds(std::chrono::steady_clock::now() - t0);
             ++w.cells;
@@ -536,6 +570,7 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                 workers.emplace_back([&, t] {
                     WorkerTelemetry &w = workerStats[t];
                     w.id = t;
+                    std::optional<SupervisedWorker> worker = workerFor();
                     // loop:exempt(wall-clock telemetry only)
                     const auto born = std::chrono::steady_clock::now();
                     for (;;) {
@@ -553,7 +588,8 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                         w.claimWaitSeconds += seconds(claim1 - claim0);
                         if (k >= pending.size())
                             break;
-                        executeOne(pending[k]);
+                        executeOne(pending[k],
+                                   worker ? &*worker : nullptr);
                         w.busySeconds += seconds(
                             // loop:exempt(wall-clock telemetry only)
                             std::chrono::steady_clock::now() - claim1);
@@ -572,17 +608,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         shutdownRequested.load(std::memory_order_acquire);
 
     if (memoize) {
-        // Publish fresh results: every simulated cell enters the memo
-        // (failures included — a wedge is deterministic within this
-        // process), but only healthy results are persisted, so a
-        // future epoch or widened budget gets to retry failures.
-        for (std::size_t i : pending) {
-            if (!done[i].load(std::memory_order_acquire))
-                continue;
-            store::processMemo().insert(fps[i], results[i]);
-            if (pstore && !results[i].failed)
-                pstore->insert(fps[i], results[i]);
-        }
         // Duplicate plan points copy through the memo so they carry
         // exactly what a memo hit would (no tick profile: the host
         // time was already attributed to the first occurrence).

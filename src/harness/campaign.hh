@@ -20,12 +20,16 @@
  * malformed spec — comes back as a failed RunResult instead of tearing
  * down the pool. A campaign always returns one result per planned run.
  *
- * Crash isolation (--isolate / LOOPSIM_ISOLATE): each miss is run in a
- * supervised forked worker (harness/supervisor.hh) instead of on the
- * pool thread, so a segfault, abort, OOM kill or wall-clock deadline
- * overrun (--deadline-ms) loses only that cell — it degrades to a
- * `crash` / `timeout` figure cell after backoff respawns. Healthy
- * results are byte-identical to an in-process run at any job count.
+ * Crash isolation (--isolate / LOOPSIM_ISOLATE): each pool thread owns
+ * one persistent forked worker process (harness/supervisor.hh) and
+ * runs its misses there instead of on the thread, so a segfault,
+ * abort, OOM kill or wall-clock deadline overrun (--deadline-ms) loses
+ * only the cell in flight — it degrades to a `crash` / `timeout` figure
+ * cell after backoff respawns in a fresh worker, and the thread's next
+ * cell runs in that fresh worker too. Workers fork after every miss's
+ * configuration is resolved and are reaped before runCampaign()
+ * returns (or the drain exits). Healthy results are byte-identical to
+ * an in-process run at any job count.
  *
  * Resumable journals (--journal / LOOPSIM_JOURNAL): every finished
  * cell (verdicts included) is appended to a crash-consistent journal
@@ -141,6 +145,9 @@ struct CampaignTelemetry
     /// @{
     /** Cells that actually ran in forked workers. */
     std::size_t isolatedRuns = 0;
+    /** Worker processes forked: one per pool thread that ran an
+     *  isolated cell, plus one per respawn after a death. */
+    std::size_t workerSpawns = 0;
     /** Worker deaths observed (signal, nonzero exit, garbled record). */
     std::size_t crashes = 0;
     /** Wall-clock deadline overruns (worker SIGKILLed and reaped). */

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +13,8 @@
 #include <thread>
 
 #include <poll.h>
+#include <stdio_ext.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -152,11 +155,12 @@ decodeWire(const std::string &wire, RunResult &result)
     return at == wire.size();
 }
 
+/** Send all of @p data; a dead peer is EPIPE (false), never SIGPIPE. */
 bool
-writeAll(int fd, const char *data, std::size_t n)
+sendAll(int fd, const char *data, std::size_t n)
 {
     while (n > 0) {
-        ssize_t w = ::write(fd, data, n);
+        ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
         if (w < 0) {
             if (errno == EINTR)
                 continue;
@@ -168,156 +172,79 @@ writeAll(int fd, const char *data, std::size_t n)
     return true;
 }
 
+/** Blocking exact receive; false on EOF or error. */
+bool
+recvAll(int fd, char *data, std::size_t n)
+{
+    while (n > 0) {
+        ssize_t r = ::recv(fd, data, n, 0);
+        if (r < 0 && errno == EINTR)
+            continue;
+        if (r <= 0)
+            return false;
+        data += r;
+        n -= static_cast<std::size_t>(r);
+    }
+    return true;
+}
+
+/** Channel end the child keeps; everything above it is closed. */
+constexpr int kChildChannelFd = 3;
+
+/** A result frame longer than this is garbage, not a record. */
+constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+
 /**
- * The child half: reset the parent's campaign signal handlers, run the
- * cell against the pre-fork-resolved configuration (never touching the
- * overlay mutex — another parent thread may have held it at fork
- * time), ship the wire record and _exit without running atexit
- * handlers that belong to the parent's state.
+ * The child half. Keep stdio and the channel, close every other
+ * inherited descriptor (a sibling's channel end would otherwise keep
+ * that sibling from ever seeing EOF, and the journal/store fds belong
+ * to the parent), drop the parent's unwritten stdout buffer so it is
+ * never written twice, then serve cell indices until the channel
+ * closes. Cells run through @p body against state frozen before the
+ * fork; an exception escaping it is a worker death. _exit() skips the
+ * parent's atexit handlers.
  */
 [[noreturn]] void
-childMain(int fd, const RunSpec &spec, const Config &resolved,
-          const RetryPolicy &policy)
+childMain(int fd, const SupervisedWorker::Body &body)
 {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
-    int status = 0;
-    try {
-        RunResult res = runOnceResilientWith(spec, resolved, policy);
-        std::string wire = encodeWire(res);
-        if (!writeAll(fd, wire.data(), wire.size()))
-            status = 3;
-    } catch (const std::exception &err) {
-        // runOnceResilientWith is fail-soft by default; anything that
-        // still escapes (fatal_if on a malformed spec, bad_alloc, a
-        // !fail_soft rethrow) is a real worker death.
-        std::fprintf(stderr, "isolated worker: %s\n", err.what());
-        status = 2;
-    } catch (...) {
-        status = 2;
+    if (fd != kChildChannelFd) {
+        ::dup2(fd, kChildChannelFd);
+        fd = kChildChannelFd;
     }
-    ::close(fd);
-    std::fflush(nullptr);
-    ::_exit(status);
-}
-
-enum class ChildFate
-{
-    Ok,      ///< clean exit, wire record parsed
-    Crash,   ///< signal death, nonzero exit, or garbled record
-    Timeout, ///< wall-clock deadline overrun; SIGKILLed
-    Interrupted,
-};
-
-/** One fork/reap round. Fills @p result only on Ok. */
-ChildFate
-superviseOnce(const RunSpec &spec, const Config &resolved,
-              const RetryPolicy &policy, std::uint64_t deadline_ms,
-              RunResult &result, std::string &why)
-{
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        why = std::string("pipe failed: ") + std::strerror(errno);
-        return ChildFate::Crash;
+    if (::close_range(kChildChannelFd + 1, ~0u, 0) != 0) {
+        for (long i = kChildChannelFd + 1; i < ::sysconf(_SC_OPEN_MAX);
+             ++i)
+            ::close(static_cast<int>(i));
     }
+    ::__fpurge(stdout);
 
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        why = std::string("fork failed: ") + std::strerror(errno);
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return ChildFate::Crash;
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(fds[1], spec, resolved, policy);
-    }
-    ::close(fds[1]);
-
-    using clock = std::chrono::steady_clock;
-    // loop:exempt(analyze: wall-clock child deadline, host side only)
-    const auto started = clock::now();
-    const bool bounded = deadline_ms != 0;
-    const auto deadline =
-        started + std::chrono::milliseconds(deadline_ms);
-
-    std::string wire;
-    bool timed_out = false;
-    bool interrupted = false;
     for (;;) {
-        if (stopRequested()) {
-            interrupted = true;
-            break;
+        char cmd[8];
+        if (!recvAll(fd, cmd, sizeof(cmd)))
+            ::_exit(0); // the supervisor closed the channel
+        std::uint64_t index = 0;
+        std::memcpy(&index, cmd, sizeof(index));
+        std::string frame;
+        try {
+            std::string wire =
+                encodeWire(body(static_cast<std::size_t>(index)));
+            frame.reserve(4 + wire.size());
+            appendU32(frame, static_cast<std::uint32_t>(wire.size()));
+            frame.append(wire);
+        } catch (const std::exception &err) {
+            // runOnceResilientWith is fail-soft by default; anything
+            // that still escapes (fatal_if on a malformed spec,
+            // bad_alloc, a !fail_soft rethrow) is a real worker death.
+            std::fprintf(stderr, "isolated worker: %s\n", err.what());
+            ::_exit(2);
+        } catch (...) {
+            ::_exit(2);
         }
-        // Poll in short slices so the deadline and the shutdown flag
-        // are both observed even while the child is silent.
-        int slice_ms = 100;
-        if (bounded) {
-            auto left = std::chrono::duration_cast<
-                // loop:exempt(analyze: wall-clock child deadline)
-                std::chrono::milliseconds>(deadline - clock::now());
-            if (left.count() <= 0) {
-                timed_out = true;
-                break;
-            }
-            slice_ms = static_cast<int>(
-                std::min<long long>(slice_ms, left.count()));
-        }
-        struct pollfd pfd = {fds[0], POLLIN, 0};
-        int pr = ::poll(&pfd, 1, slice_ms);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            timed_out = false;
-            why = std::string("poll failed: ") + std::strerror(errno);
-            break;
-        }
-        if (pr == 0)
-            continue;
-        char buf[4096];
-        ssize_t r = ::read(fds[0], buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (r == 0)
-            break; // EOF: the child finished (or died) and closed.
-        wire.append(buf, static_cast<std::size_t>(r));
+        if (!sendAll(fd, frame.data(), frame.size()))
+            ::_exit(3);
     }
-    ::close(fds[0]);
-
-    if (timed_out || interrupted)
-        ::kill(pid, SIGKILL);
-
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-
-    if (interrupted)
-        return ChildFate::Interrupted;
-    if (timed_out) {
-        why = "worker overran the " + std::to_string(deadline_ms) +
-              " ms wall-clock deadline";
-        return ChildFate::Timeout;
-    }
-    if (WIFSIGNALED(status)) {
-        int sig = WTERMSIG(status);
-        why = std::string("worker died on signal ") +
-              std::to_string(sig) + " (" + strsignal(sig) + ")";
-        return ChildFate::Crash;
-    }
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        why = "worker exited with status " +
-              std::to_string(WIFEXITED(status) ? WEXITSTATUS(status)
-                                               : -1);
-        return ChildFate::Crash;
-    }
-    if (!decodeWire(wire, result)) {
-        why = "worker returned a garbled result record";
-        return ChildFate::Crash;
-    }
-    return ChildFate::Ok;
 }
 
 /** Interruptible backoff sleep; returns false when shutdown struck. */
@@ -359,7 +286,7 @@ SupervisorPolicy::fromConfig(const Config &cfg)
 bool
 isolationSupported()
 {
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__) // close_range, MSG_NOSIGNAL, __fpurge
     return true;
 #else
     return false;
@@ -398,8 +325,19 @@ deadlineMs()
     if (!deadlineInit.load(std::memory_order_acquire)) {
         const char *env = std::getenv("LOOPSIM_DEADLINE_MS"); // NOLINT(concurrency-mt-unsafe)
         std::uint64_t ms = 0;
-        if (env != nullptr && *env != '\0')
-            ms = std::strtoull(env, nullptr, 10);
+        if (env != nullptr && *env != '\0') {
+            // Strict, like --deadline-ms: "10s" must not quietly mean
+            // 10 ms, nor "abc" no deadline at all.
+            const char *end = env + std::strlen(env);
+            auto [ptr, ec] = std::from_chars(env, end, ms);
+            if (ec != std::errc() || ptr != end) {
+                std::fprintf(stderr,
+                             "invalid LOOPSIM_DEADLINE_MS: \"%s\" "
+                             "(expected a non-negative integer)\n",
+                             env);
+                std::exit(2); // NOLINT(concurrency-mt-unsafe)
+            }
+        }
         deadlineMsFlag.store(ms, std::memory_order_relaxed);
         deadlineInit.store(true, std::memory_order_release);
     }
@@ -419,16 +357,162 @@ setSupervisorStopFlag(const std::atomic<bool> *flag)
     stopFlag.store(flag, std::memory_order_release);
 }
 
-SupervisedOutcome
-runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
-                  const std::string &fallback_label)
+enum class SupervisedWorker::Fate
+{
+    Ok,      ///< a valid record came back; the worker stays
+    Crash,   ///< death, EOF or garbled record; worker reaped
+    Timeout, ///< wall-clock deadline overrun; SIGKILLed and reaped
+    Interrupted,
+};
+
+SupervisedWorker::SupervisedWorker(Body body_) : body(std::move(body_))
 {
     fatal_if(!isolationSupported(),
-             "runCellSupervised on a platform without fork()");
+             "supervised worker on a platform without fork()");
+}
 
-    // Resolve the configuration before forking: the child must never
-    // take the overlay mutex (see the fork-safety note in the header).
-    const Config resolved = effectiveRunConfig(spec);
+SupervisedWorker::~SupervisedWorker() { stop(); }
+
+bool
+SupervisedWorker::spawn(std::string &why)
+{
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+        why = std::string("socketpair failed: ") + std::strerror(errno);
+        return false;
+    }
+    pid_t pid = ::fork();
+    if (pid < 0) {
+        why = std::string("fork failed: ") + std::strerror(errno);
+        ::close(sv[0]);
+        ::close(sv[1]);
+        return false;
+    }
+    if (pid == 0) {
+        ::close(sv[0]);
+        childMain(sv[1], body);
+    }
+    ::close(sv[1]);
+    child = pid;
+    channel = sv[0];
+    return true;
+}
+
+std::string
+SupervisedWorker::reap()
+{
+    // SIGKILL first: harmless to a worker that already exited (its
+    // status is settled before its channel end closes), and the only
+    // sure way to end one that is hung or garbling.
+    ::kill(child, SIGKILL);
+    int status = 0;
+    while (::waitpid(child, &status, 0) < 0 && errno == EINTR) {
+    }
+    ::close(channel);
+    child = -1;
+    channel = -1;
+    if (WIFSIGNALED(status)) {
+        int sig = WTERMSIG(status);
+        return std::string("worker died on signal ") +
+               std::to_string(sig) + " (" + strsignal(sig) + ")";
+    }
+    if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
+        return "worker exited with status " +
+               std::to_string(WEXITSTATUS(status));
+    }
+    return "worker exited without returning a result record";
+}
+
+void
+SupervisedWorker::stop()
+{
+    if (child >= 0)
+        reap();
+}
+
+SupervisedWorker::Fate
+SupervisedWorker::dispatch(std::size_t index, std::uint64_t deadline_ms,
+                           RunResult &result, std::string &why)
+{
+    using clock = std::chrono::steady_clock;
+    const std::uint64_t wire_index = index;
+    char cmd[sizeof(wire_index)];
+    std::memcpy(cmd, &wire_index, sizeof(cmd));
+    // loop:exempt(analyze: wall-clock worker deadline, host side only)
+    const auto deadline = clock::now() + std::chrono::milliseconds(deadline_ms);
+    const bool bounded = deadline_ms != 0;
+    // A failed send (EPIPE) means the worker died after the idle
+    // check: a death with this cell dispatched, charged like any other.
+    if (!sendAll(channel, cmd, sizeof(cmd))) {
+        why = reap();
+        return Fate::Crash;
+    }
+
+    std::string frame;
+    std::size_t need = 4;
+    while (frame.size() < need) {
+        if (stopRequested()) {
+            reap();
+            return Fate::Interrupted;
+        }
+        // Poll in short slices so the deadline and the shutdown flag
+        // are both observed even while the worker is silent.
+        int slice_ms = 100;
+        if (bounded) {
+            auto left = std::chrono::duration_cast<
+                // loop:exempt(analyze: wall-clock worker deadline)
+                std::chrono::milliseconds>(deadline - clock::now());
+            if (left.count() <= 0) {
+                reap();
+                why = "worker overran the " + std::to_string(deadline_ms) +
+                      " ms wall-clock deadline";
+                return Fate::Timeout;
+            }
+            slice_ms = static_cast<int>(
+                std::min<long long>(slice_ms, left.count()));
+        }
+        struct pollfd pfd = {channel, POLLIN, 0};
+        int pr = ::poll(&pfd, 1, slice_ms);
+        if (pr == 0 || (pr < 0 && errno == EINTR))
+            continue;
+        char buf[16384];
+        ssize_t r = -1;
+        if (pr > 0) {
+            r = ::recv(channel, buf,
+                       std::min(sizeof(buf), need - frame.size()), 0);
+            if (r < 0 && errno == EINTR)
+                continue;
+        }
+        if (r <= 0) {
+            // EOF: the worker died mid-cell (or the channel broke).
+            why = reap();
+            return Fate::Crash;
+        }
+        frame.append(buf, static_cast<std::size_t>(r));
+        if (need == 4 && frame.size() == 4) {
+            std::size_t at = 0;
+            std::uint32_t len = 0;
+            readU32(frame, at, len);
+            if (len > kMaxFrameBytes)
+                break; // garbage, not a length: don't wait for it
+            need += len;
+        }
+    }
+    RunResult decoded;
+    if (frame.size() < need || !decodeWire(frame.substr(4), decoded)) {
+        reap();
+        why = "worker returned a garbled result record";
+        return Fate::Crash;
+    }
+    result = std::move(decoded);
+    return Fate::Ok;
+}
+
+SupervisedOutcome
+SupervisedWorker::run(std::size_t index, const RunSpec &spec,
+                      const Config &resolved,
+                      const std::string &fallback_label)
+{
     const SupervisorPolicy sup = SupervisorPolicy::fromConfig(resolved);
 
     SupervisedOutcome out;
@@ -437,20 +521,33 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
     double backoff = static_cast<double>(sup.backoffMs);
     for (unsigned attempt = 1;; ++attempt) {
         out.attempts = attempt;
+        // A worker that died while idle (OOM-killed, signalled from
+        // outside) owes this cell nothing: reap it and fork afresh.
+        int status = 0;
+        if (child >= 0 && ::waitpid(child, &status, WNOHANG) == child) {
+            warn("isolated worker ", child,
+                 " died while idle; respawning it");
+            ::close(channel);
+            child = -1;
+            channel = -1;
+        }
         std::string why;
-        ChildFate fate = superviseOnce(spec, resolved, policy,
-                                       sup.deadlineMs, out.result, why);
-        if (fate == ChildFate::Ok)
+        if (child < 0 && spawn(why))
+            ++out.spawns;
+        const Fate fate = child >= 0 ? dispatch(index, sup.deadlineMs,
+                                                out.result, why)
+                                     : Fate::Crash;
+        if (fate == Fate::Ok)
             return out;
-        if (fate == ChildFate::Interrupted) {
+        if (fate == Fate::Interrupted) {
             out.interrupted = true;
             return out;
         }
 
-        last_kind = fate == ChildFate::Timeout ? FailKind::Timeout
-                                               : FailKind::Crash;
+        last_kind = fate == Fate::Timeout ? FailKind::Timeout
+                                          : FailKind::Crash;
         last_why = why;
-        if (fate == ChildFate::Timeout)
+        if (fate == Fate::Timeout)
             ++out.timeouts;
         else
             ++out.crashes;
@@ -471,7 +568,7 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
         backoff *= sup.backoffGrowth;
     }
 
-    // Every spawn died: degrade to a crash/timeout figure cell, the
+    // Every attempt died: degrade to a crash/timeout figure cell, the
     // same fail-soft shape runOnceResilient() produces for SimErrors.
     RunResult res;
     res.failed = true;
@@ -484,6 +581,19 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
     res.ipc = failPoint(last_kind);
     out.result = std::move(res);
     return out;
+}
+
+SupervisedOutcome
+runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
+                  const std::string &fallback_label)
+{
+    // Resolve the configuration before forking: the child must never
+    // take the overlay mutex (see the fork-safety note in the header).
+    const Config resolved = effectiveRunConfig(spec);
+    SupervisedWorker worker([&](std::size_t) {
+        return runOnceResilientWith(spec, resolved, policy);
+    });
+    return worker.run(0, spec, resolved, fallback_label);
 }
 
 } // namespace loopsim

@@ -465,7 +465,7 @@ CampaignServer::Impl::servePlan(int fd, const std::string &tenant,
                                 bool &client_gone)
 {
     // loop:exempt(analyze: wall-clock service telemetry only)
-    const auto started = std::chrono::steady_clock::now();
+    const auto plan_started = std::chrono::steady_clock::now();
     const std::size_t n = plan.size();
 
     ServeTelemetry tele;
@@ -586,7 +586,7 @@ CampaignServer::Impl::servePlan(int fd, const std::string &tenant,
     // loop:exempt(analyze: wall-clock service telemetry only)
     const auto finished = std::chrono::steady_clock::now();
     tele.wallSeconds =
-        std::chrono::duration<double>(finished - started).count();
+        std::chrono::duration<double>(finished - plan_started).count();
 
     if (!client_gone &&
         !writeFrame(fd, FrameType::Done, encodeTelemetry(tele))) {

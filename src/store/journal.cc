@@ -235,9 +235,10 @@ CampaignJournal::append(const Fingerprint &fp, const RunResult &result)
         writeFailed = true;
         return;
     }
-    // fsync per cell: a cell is minutes of simulation, the sync is
-    // microseconds, and it is what makes a SIGKILL lose at most the
-    // entry being appended.
+    // The write() above already survives a SIGKILL of this process
+    // (the entry is in the page cache). fsync per cell guards against
+    // an OS crash or power loss: a cell is milliseconds to minutes of
+    // simulation, the sync is microseconds.
     ::fsync(fd);
 }
 

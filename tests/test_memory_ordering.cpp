@@ -322,11 +322,11 @@ TEST(MemoryOrdering, TrapHitsOldestStillPerformedLoad)
     const Cycle st_at = store_exec.front();
     const auto wp = traceCycles(log, "Mem", "0x8000", true);
     EXPECT_TRUE(std::any_of(wp.begin(), wp.end(),
-                            [&](Cycle c) { return c < st_at; }))
+                            [&](Cycle at) { return at < st_at; }))
         << "no wrong-path load performed before the store";
     const auto a_mem = traceCycles(log, "Mem", "0x9010");
     EXPECT_GE(std::count_if(a_mem.begin(), a_mem.end(),
-                            [&](Cycle c) { return c < st_at; }),
+                            [&](Cycle at) { return at < st_at; }),
               2)
         << "load A did not perform, get killed and perform again";
     const auto k_mem = traceCycles(log, "Mem", "0x9020");

@@ -5,14 +5,22 @@
  * (including SIGKILL) and wall-clock deadline overruns degrading to
  * crash/timeout cells after backoff respawns, campaign journals
  * replaying completed and poison cells on resume, journal maintenance
- * (torn tails, pruning), plan fingerprint sensitivity, and a real
- * SIGINT drain of a forked campaign that resumes from its journal.
+ * (torn tails, pruning), plan fingerprint sensitivity, a real
+ * SIGINT drain of a forked campaign that resumes from its journal, and
+ * the persistent worker's contract: one fork per pool thread, a fresh
+ * worker after a crash or timeout, uncharged respawn after an idle
+ * death, per-cell warn() tags, descriptor hygiene, and no worker left
+ * unreaped when a campaign returns or drains.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,6 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/logging.hh"
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
@@ -668,4 +677,349 @@ TEST(CampaignInterrupt, SigintDrainsJournalsAndResumes)
         EXPECT_EQ(t.resumed, plan.size());
     }
     expectSameResults(reference, resumed);
+}
+
+namespace
+{
+
+/** A fixed cell table for driving one SupervisedWorker directly. */
+struct CellTable
+{
+    std::vector<RunSpec> specs;
+    std::vector<Config> resolved;
+
+    std::size_t
+    add(RunSpec spec)
+    {
+        resolved.push_back(effectiveRunConfig(spec));
+        specs.push_back(std::move(spec));
+        return specs.size() - 1;
+    }
+
+    SupervisedWorker::Body
+    body() const
+    {
+        return [this](std::size_t i) {
+            return runOnceResilientWith(specs[i], resolved[i]);
+        };
+    }
+
+    SupervisedOutcome
+    run(SupervisedWorker &w, std::size_t i) const
+    {
+        return w.run(i, specs[i], resolved[i], "cell");
+    }
+};
+
+/** Block until @p pid has exited, without reaping it. */
+void
+awaitDeathUnreaped(pid_t pid)
+{
+    siginfo_t info{};
+    while (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                    WEXITED | WNOWAIT) < 0 &&
+           errno == EINTR) {
+    }
+}
+
+/** True when this process has no child left, reaped or not. */
+bool
+noChildrenLeft()
+{
+    errno = 0;
+    return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+} // anonymous namespace
+
+TEST(PersistentWorker, CampaignForksOneWorkerPerPoolThread)
+{
+    SupervisionScope scope;
+    store::resetProcessStore();
+
+    CampaignPlan plan;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        plan.add(smallSpec(i % 2 == 0 ? "gcc" : "swim", 4000 + i),
+                 "cell " + std::to_string(i));
+    }
+    std::vector<RunResult> inproc = runCampaign(plan, {}, 3);
+
+    store::resetProcessStore();
+    setIsolation(true);
+    std::vector<RunResult> isolated = runCampaign(plan, {}, 3);
+    CampaignTelemetry t = lastCampaignTelemetry();
+    expectSameResults(inproc, isolated);
+    EXPECT_EQ(t.isolatedRuns, plan.size());
+    EXPECT_EQ(t.crashes, 0u);
+    // One fork per pool thread that ran a cell (all three, unless a
+    // thread started after its siblings had claimed every cell), never
+    // one per cell.
+    std::size_t threads_used = 0;
+    for (const WorkerTelemetry &w : t.workers)
+        threads_used += w.cells > 0 ? 1 : 0;
+    EXPECT_EQ(t.workerSpawns, threads_used);
+    EXPECT_LE(t.workerSpawns, 3u);
+    EXPECT_GE(t.workerSpawns, 1u);
+
+    // Serially, one worker runs the whole plan.
+    store::resetProcessStore();
+    std::vector<RunResult> serial = runCampaign(plan, {}, 1);
+    expectSameResults(inproc, serial);
+    EXPECT_EQ(lastCampaignTelemetry().workerSpawns, 1u);
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(PersistentWorker, CrashDegradesOnlyItsCellAndTheNextGetsAFreshWorker)
+{
+    SupervisionScope scope;
+    CellTable cells;
+    const std::size_t first = cells.add(smallSpec("gcc"));
+    RunSpec doomed = smallSpec("swim");
+    // SIGABRT, not SIGSEGV: a sanitizer runtime turns a SEGV into an
+    // exit status, and the test should hold in sanitizer builds too.
+    doomed.overrides = crashConfig(500, SIGABRT, 1);
+    const std::size_t crash = cells.add(std::move(doomed));
+    const std::size_t after = cells.add(smallSpec("turb3d"));
+
+    SupervisedWorker w(cells.body());
+    SupervisedOutcome a = cells.run(w, first);
+    EXPECT_EQ(a.spawns, 1u);
+    const pid_t reused = w.pid();
+    ASSERT_GT(reused, 0);
+
+    SupervisedOutcome b = cells.run(w, crash);
+    EXPECT_EQ(b.spawns, 0u) << "the crash cell reuses the live worker";
+    EXPECT_EQ(b.crashes, 1u);
+    EXPECT_EQ(b.result.failKind, FailKind::Crash);
+    EXPECT_NE(b.result.error.find("signal 6"), std::string::npos);
+    EXPECT_EQ(w.pid(), -1) << "the dead worker is reaped at once";
+
+    SupervisedOutcome c = cells.run(w, after);
+    EXPECT_EQ(c.spawns, 1u);
+    EXPECT_EQ(c.crashes, 0u);
+    EXPECT_NE(w.pid(), reused);
+    expectSameResult(a.result, runOnce(cells.specs[first]));
+    expectSameResult(c.result, runOnce(cells.specs[after]));
+
+    // The same through a serial campaign: one crash, one respawn.
+    store::resetProcessStore();
+    Config overlay;
+    overlay.setBool("integrity.fault.enable", true);
+    overlay.setUint("integrity.fault.crash_at_op", 500);
+    overlay.set("integrity.fault.crash_target", "swim");
+    overlay.setUint("integrity.supervisor.attempts", 1);
+    setRunOverlay(overlay);
+    setIsolation(true);
+    CampaignPlan plan;
+    plan.add(smallSpec("gcc"), "gcc");
+    plan.add(smallSpec("swim"), "swim");
+    plan.add(smallSpec("turb3d"), "turb3d");
+    plan.add(smallSpec("gcc", 4500), "gcc long");
+    std::vector<RunResult> results = runCampaign(plan, {}, 1);
+    CampaignTelemetry t = lastCampaignTelemetry();
+    EXPECT_EQ(t.crashes, 1u);
+    EXPECT_EQ(t.workerSpawns, 2u);
+    EXPECT_EQ(results[1].failKind, FailKind::Crash);
+    for (std::size_t i : {0u, 2u, 3u}) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        EXPECT_FALSE(results[i].failed);
+    }
+    // In-process under the same overlay: the respawned worker's cell
+    // is bit-identical.
+    expectSameResult(results[3], runOnce(plan.at(3).spec));
+}
+
+TEST(PersistentWorker, HungCellIsKilledAtItsDeadline)
+{
+    SupervisionScope scope;
+    store::resetProcessStore();
+    setIsolation(true);
+
+    CampaignPlan plan;
+    plan.add(smallSpec("gcc"), "gcc");
+    RunSpec hung = smallSpec("swim");
+    hung.overrides = hangConfig(500, 300);
+    plan.add(std::move(hung), "swim hang");
+    plan.add(smallSpec("turb3d"), "turb3d");
+
+    using clock = std::chrono::steady_clock;
+    const auto t0 = clock::now();
+    std::vector<RunResult> results = runCampaign(plan, {}, 1);
+    const double secs =
+        std::chrono::duration<double>(clock::now() - t0).count();
+    CampaignTelemetry t = lastCampaignTelemetry();
+    EXPECT_EQ(t.timeouts, 1u);
+    EXPECT_EQ(t.workerSpawns, 2u);
+    EXPECT_FALSE(results[0].failed);
+    EXPECT_EQ(results[1].failKind, FailKind::Timeout);
+    EXPECT_FALSE(results[2].failed);
+    EXPECT_GE(secs, 0.3);
+    EXPECT_LT(secs, 10.0);
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(PersistentWorker, IdleDeathIsRespawnedWithoutChargingTheCell)
+{
+    SupervisionScope scope;
+    // A write to a dead worker must come back as EPIPE, not kill us.
+    auto old_pipe = std::signal(SIGPIPE, SIG_DFL);
+    CellTable cells;
+    cells.add(smallSpec("gcc"));
+    cells.add(smallSpec("swim"));
+
+    SupervisedWorker w(cells.body());
+    ASSERT_FALSE(cells.run(w, 0).result.failed);
+    const pid_t idle = w.pid();
+    ASSERT_GT(idle, 0);
+    ::kill(idle, SIGKILL);
+    awaitDeathUnreaped(idle);
+
+    SupervisedOutcome so = cells.run(w, 1);
+    EXPECT_EQ(so.attempts, 1u);
+    EXPECT_EQ(so.crashes, 0u);
+    EXPECT_EQ(so.spawns, 1u);
+    EXPECT_NE(w.pid(), idle);
+    expectSameResult(so.result, runOnce(cells.specs[1]));
+    w.stop();
+    EXPECT_TRUE(noChildrenLeft());
+    std::signal(SIGPIPE, old_pipe);
+}
+
+TEST(PersistentWorker, ReusedWorkerTagsWarningsWithTheCellItRuns)
+{
+    SupervisionScope scope;
+    store::resetProcessStore();
+    setIsolation(true);
+
+    CampaignPlan plan;
+    plan.add(smallSpec("gcc"), "first");
+    RunSpec wedged = smallSpec("gcc");
+    wedged.overrides = wedgeConfig();
+    plan.add(std::move(wedged), "second");
+
+    const bool was_quiet = detail::quiet();
+    detail::setQuiet(false);
+    ::testing::internal::CaptureStderr();
+    std::vector<RunResult> results = runCampaign(plan, {}, 1);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    detail::setQuiet(was_quiet);
+
+    EXPECT_EQ(lastCampaignTelemetry().workerSpawns, 1u);
+    EXPECT_EQ(results[1].failKind, FailKind::Sim);
+    // The retry warning comes from the worker forked for cell 0.
+    EXPECT_NE(log.find("warn: [cell 1: second] run \"gcc\" attempt 1/1"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(log.find("[cell 0: first] run"), std::string::npos) << log;
+}
+
+TEST(PersistentWorker, WorkerHoldsOnlyItsChannelAndStdio)
+{
+    SupervisionScope scope;
+    CellTable cells;
+    cells.add(smallSpec("gcc"));
+
+    // Descriptors a worker must not inherit: an unrelated pipe, and a
+    // sibling worker's channel end.
+    int extra[2];
+    ASSERT_EQ(::pipe(extra), 0);
+    SupervisedWorker sibling(cells.body());
+    ASSERT_FALSE(cells.run(sibling, 0).result.failed);
+    SupervisedWorker w(cells.body());
+    ASSERT_FALSE(cells.run(w, 0).result.failed);
+
+    for (const SupervisedWorker *worker : {&sibling, &w}) {
+        const fs::path fds =
+            fs::path("/proc") / std::to_string(worker->pid()) / "fd";
+        std::vector<int> open;
+        for (const fs::directory_entry &e : fs::directory_iterator(fds))
+            open.push_back(std::stoi(e.path().filename().string()));
+        std::sort(open.begin(), open.end());
+        SCOPED_TRACE("worker " + std::to_string(worker->pid()));
+        ASSERT_FALSE(open.empty());
+        EXPECT_EQ(open.back(), 3) << "an inherited descriptor stayed open";
+        for (int fd : open)
+            EXPECT_LE(fd, 3);
+        EXPECT_EQ(fs::read_symlink(fds / "3").string().rfind("socket:", 0),
+                  0u);
+    }
+    ::close(extra[0]);
+    ::close(extra[1]);
+}
+
+TEST(PersistentWorker, CampaignReapsEveryWorkerBeforeReturning)
+{
+    SupervisionScope scope;
+    store::resetProcessStore();
+    setIsolation(true);
+    CampaignPlan plan;
+    for (std::uint64_t i = 0; i < 4; ++i)
+        plan.add(smallSpec("gcc", 4000 + i), "cell " + std::to_string(i));
+    runCampaign(plan, {}, 2);
+    EXPECT_GE(lastCampaignTelemetry().workerSpawns, 1u);
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(PersistentWorker, SigintDrainReapsEveryWorker)
+{
+    SupervisionScope scope;
+    store::resetProcessStore();
+    fs::path dir = freshDir("campaign_sigint_reap");
+
+    // One quick cell, then two that hang far past the test: the drain
+    // must kill and reap the two workers stuck in them.
+    CampaignPlan plan;
+    plan.add(smallSpec("gcc"), "gcc");
+    for (const char *w : {"swim", "turb3d"}) {
+        RunSpec hung = smallSpec(w);
+        hung.overrides = hangConfig(500, 60000);
+        plan.add(std::move(hung), std::string(w) + " hang");
+    }
+
+    std::fflush(nullptr);
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // The flush hook runs after the drain, just before the
+        // 128+signal exit: by then no worker may be left.
+        setCampaignInterruptFlush([] { ::_exit(noChildrenLeft() ? 42 : 43); });
+        setIsolation(true);
+        store::setJournalPath(dir.string());
+        runCampaign(plan, {}, 2);
+        ::_exit(0);
+    }
+
+    bool saw_entry = false;
+    for (int spin = 0; spin < 3000 && !saw_entry; ++spin) {
+        for (const auto &j : store::scanJournals(dir.string()))
+            saw_entry = saw_entry || j.entries > 0;
+        if (!saw_entry)
+            ::usleep(10000);
+    }
+    ASSERT_TRUE(saw_entry);
+    ::kill(pid, SIGINT);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 42) << "a worker outlived the drain";
+}
+
+TEST(SupervisorFlags, DeadlineEnvironmentIsParsedStrictly)
+{
+    // Each statement runs in a freshly executed copy of this binary,
+    // where deadlineMs() has not latched the variable yet.
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"10s", "abc", "-5", " 7", "0x10",
+                            "99999999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ::setenv("LOOPSIM_DEADLINE_MS", bad, 1);
+        EXPECT_EXIT(deadlineMs(), ::testing::ExitedWithCode(2),
+                    "invalid LOOPSIM_DEADLINE_MS");
+    }
+    ::setenv("LOOPSIM_DEADLINE_MS", "250", 1);
+    EXPECT_EXIT(std::exit(deadlineMs() == 250 ? 7 : 1),
+                ::testing::ExitedWithCode(7), "");
+    ::unsetenv("LOOPSIM_DEADLINE_MS");
+    ::testing::FLAGS_gtest_death_test_style = style;
 }
