@@ -8,8 +8,11 @@
 
 using namespace loopsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     auto ops = benchutil::benchOps(argc, argv, 100000);
     benchutil::CampaignRecorder record("ablation_dra", ops, argc, argv);
@@ -22,4 +25,12 @@ main(int argc, char **argv)
     printFigure(std::cout, ablationCrcTimeout(ops, w),
                 ValueFormat::Percent);
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::guardedMain(run, argc, argv);
 }

@@ -8,8 +8,11 @@
 
 using namespace loopsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     auto ops = benchutil::benchOps(argc, argv, 100000);
     benchutil::CampaignRecorder record("ablation_recovery", ops,
@@ -19,4 +22,12 @@ main(int argc, char **argv)
     printFigure(std::cout, ablationKillShadow(ops, w));
     printFigure(std::cout, ablationMemDep(ops, w));
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::guardedMain(run, argc, argv);
 }

@@ -11,8 +11,11 @@
 
 using namespace loopsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     auto ops = benchutil::benchOps(argc, argv, 100000);
     benchutil::CampaignRecorder record("ablation_smt", ops, argc, argv);
@@ -55,4 +58,12 @@ main(int argc, char **argv)
     else
         printFigure(std::cout, fig);
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::guardedMain(run, argc, argv);
 }

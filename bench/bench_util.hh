@@ -4,24 +4,36 @@
  *
  * Common CLI surface: `<bench> [OPS] [--jobs N|auto] [--csv]
  * [--trace PATH] [--profile] [--store DIR] [--isolate]
- * [--deadline-ms N] [--journal DIR] [--server HOST:PORT]` in any
- * argument order, plus the LOOPSIM_BENCH_OPS, LOOPSIM_JOBS,
- * LOOPSIM_TRACE, LOOPSIM_PROFILE, LOOPSIM_STORE, LOOPSIM_ISOLATE,
- * LOOPSIM_DEADLINE_MS, LOOPSIM_JOURNAL and LOOPSIM_SERVER environment
- * variables. `--server` delegates every campaign to a loopsim-serve
- * daemon (results stay byte-identical to local runs; the entry grows a
- * "serve" telemetry object); `--jobs auto` means the host CPU count. Every binary records campaign telemetry (wall clock,
- * runs/sec, cache activity, supervision counters, and the kernel
- * tick profile when --profile is on) into BENCH_campaign.json on
- * exit — including on a SIGINT/SIGTERM drain, via the campaign
- * interrupt-flush hook; --trace additionally writes the campaign's
- * loop-event trace (Chrome JSON, or CSV for *.csv paths — see
- * src/trace/loop_trace.hh and DESIGN.md §11); --store points the
- * persistent result store at a directory, so reruns replay cached
- * cells instead of simulating (src/store/, DESIGN.md §12); --isolate
- * runs each cell in a supervised forked worker with --deadline-ms as
- * its wall-clock watchdog, and --journal makes the campaign resumable
- * after a crash or interrupt (DESIGN.md §13).
+ * [--deadline-ms N] [--journal DIR]` in any argument order. Each flag
+ * wins over its environment knob (grammar in base/knobs.hh):
+ *
+ *   knob                 kind   default              flag
+ *   LOOPSIM_BENCH_OPS    count  per binary           OPS
+ *   LOOPSIM_JOBS         jobs   host CPUs            --jobs
+ *   LOOPSIM_TRACE        path   off                  --trace
+ *   LOOPSIM_PROFILE      bool   0                    --profile
+ *   LOOPSIM_STORE        path   off                  --store
+ *   LOOPSIM_ISOLATE      bool   0                    --isolate
+ *   LOOPSIM_DEADLINE_MS  uint   0 (none)             --deadline-ms
+ *   LOOPSIM_JOURNAL      path   off                  --journal
+ *   LOOPSIM_BENCH_JSON   path   BENCH_campaign.json  -
+ *
+ * `--jobs auto` means the host CPU count. A malformed flag value exits
+ * 2 with a usage message; every main() runs inside guardedMain(), so a
+ * malformed knob, or a figure that cannot be assembled, ends in
+ * `error: <message>` and exit status 2 too.
+ * Every binary records campaign telemetry (wall clock, runs/sec,
+ * cache activity, supervision counters, and the kernel tick profile
+ * when --profile is on) into BENCH_campaign.json on exit — including
+ * on a SIGINT/SIGTERM drain, via the campaign interrupt-flush hook;
+ * --trace additionally writes the campaign's loop-event trace (Chrome
+ * JSON, or CSV for *.csv paths — see src/trace/loop_trace.hh and
+ * DESIGN.md §11); --store points the persistent result store at a
+ * directory, so reruns replay cached cells instead of simulating
+ * (src/store/, DESIGN.md §12); --isolate runs each cell in a
+ * supervised forked worker with --deadline-ms as its wall-clock
+ * watchdog, and --journal makes the campaign resumable after a crash
+ * or interrupt (DESIGN.md §13).
  */
 
 #ifndef LOOPSIM_BENCH_BENCH_UTIL_HH
@@ -36,9 +48,10 @@
 #include <string>
 #include <vector>
 
+#include "base/knobs.hh"
+#include "base/logging.hh"
 #include "harness/campaign.hh"
 #include "harness/supervisor.hh"
-#include "serve/client.hh"
 #include "store/journal.hh"
 #include "store/result_store.hh"
 #include "trace/loop_trace.hh"
@@ -70,7 +83,7 @@ flagTakesValue(const std::string &flag)
 {
     return flag == "--jobs" || flag == "-j" || flag == "--trace" ||
            flag == "--store" || flag == "--deadline-ms" ||
-           flag == "--journal" || flag == "--server";
+           flag == "--journal";
 }
 
 /** Value of a `--flag V` / `--flag=V` option, or "" when absent. */
@@ -110,8 +123,9 @@ hasFlag(int argc, char **argv, const std::string &flag)
  * Correct-path ops per run: the first non-flag argument wherever it
  * sits on the command line (flags like --csv / --jobs N / --jobs=N are
  * skipped, never misread as a count), else LOOPSIM_BENCH_OPS, else
- * @p def. A non-numeric or zero count is rejected with exit code 2
- * instead of silently becoming 0 ops.
+ * @p def. A non-numeric or zero count, on the command line or in the
+ * environment, is rejected with exit status 2 instead of silently
+ * becoming 0 ops or the default.
  */
 inline std::uint64_t
 benchOps(int argc, char **argv, std::uint64_t def = 200000)
@@ -130,12 +144,8 @@ benchOps(int argc, char **argv, std::uint64_t def = 200000)
         }
         return ops;
     }
-    if (const char *env = std::getenv("LOOPSIM_BENCH_OPS")) {
-        std::uint64_t ops = detail::parseCount(env, "LOOPSIM_BENCH_OPS");
-        if (ops > 0)
-            return ops;
-    }
-    return def;
+    const std::uint64_t env_ops = knobs::env().benchOps;
+    return env_ops > 0 ? env_ops : def;
 }
 
 /**
@@ -262,25 +272,6 @@ benchJournal(int argc, char **argv)
     return !path.empty() ? path : store::journalPath();
 }
 
-/**
- * Campaign-service endpoint: `--server HOST:PORT` / `--server=...`,
- * else the LOOPSIM_SERVER environment variable; "" when local. A
- * `--server` with a missing endpoint is a usage error (exit 2).
- */
-inline std::string
-benchServer(int argc, char **argv)
-{
-    bool present = detail::hasFlag(argc, argv, "--server");
-    std::string endpoint = detail::flagValue(argc, argv, "--server");
-    if (endpoint.empty() && (present || detail::hasFlag(argc, argv,
-                                                        "--server="))) {
-        std::fprintf(stderr, "--server needs an endpoint (usage: "
-                     "--server HOST:PORT)\n");
-        std::exit(2);
-    }
-    return !endpoint.empty() ? endpoint : serve::serveEndpoint();
-}
-
 /** Workloads used by ablation benches (a representative subset). */
 inline std::vector<std::string>
 ablationWorkloads()
@@ -328,9 +319,6 @@ class CampaignRecorder
         std::string journal_dir = benchJournal(argc, argv);
         if (!journal_dir.empty())
             store::setJournalPath(journal_dir);
-        std::string server = benchServer(argc, argv);
-        if (!server.empty())
-            serve::setServeEndpoint(server);
         // The campaign executor runs on this thread, so the hook fires
         // with this object alive and no concurrent flush possible.
         setCampaignInterruptFlush([this] { flush(); });
@@ -392,23 +380,6 @@ class CampaignRecorder
               << ", \"backoff_waits\": " << t.backoffWaits
               << ", \"backoff_wait_ms\": " << t.backoffWaitMs
               << ", \"resumed\": " << t.resumed << "}";
-        if (serve::serveConfigured()) {
-            const serve::ServeTelemetry s = serve::lastClientTelemetry();
-            entry << ", \"serve\": {\"endpoint\": \""
-                  << serve::serveEndpoint()
-                  << "\", \"tenant\": \"" << s.tenant
-                  << "\", \"cells\": " << s.cells
-                  << ", \"queued\": " << s.queued
-                  << ", \"simulated\": " << s.simulated
-                  << ", \"cache_hits\": " << s.cacheHits
-                  << ", \"dedup_hits\": " << s.dedupHits
-                  << ", \"resumed\": " << s.resumed
-                  << ", \"failures\": " << s.failures
-                  << ", \"crashes\": " << s.crashes
-                  << ", \"timeouts\": " << s.timeouts
-                  << ", \"reconnects\": " << s.reconnects
-                  << ", \"wall_s\": " << s.wallSeconds << "}";
-        }
         if (!t.workers.empty()) {
             entry << ", \"workers\": [";
             for (std::size_t i = 0; i < t.workers.size(); ++i) {
@@ -456,8 +427,9 @@ class CampaignRecorder
     void
     append(const std::string &entry) const
     {
-        const char *env = std::getenv("LOOPSIM_BENCH_JSON");
-        std::string path = env && *env ? env : "BENCH_campaign.json";
+        const std::string &env_path = knobs::env().benchJson;
+        const std::string path =
+            env_path.empty() ? "BENCH_campaign.json" : env_path;
 
         std::string body;
         {
@@ -489,6 +461,24 @@ class CampaignRecorder
     std::chrono::steady_clock::time_point start;
     bool flushed = false;
 };
+
+/**
+ * Run a bench binary's main body. A FatalError escaping @p body (a
+ * malformed knob or config, a figure that cannot be assembled)
+ * becomes `error: <message>` on stderr and exit status 2 — after the
+ * stack has unwound, so a CampaignRecorder inside @p body still writes
+ * its telemetry entry.
+ */
+inline int
+guardedMain(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
+}
 
 } // namespace loopsim::benchutil
 

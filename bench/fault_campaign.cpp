@@ -25,10 +25,8 @@ faulted(const char *key, double rate)
     return cfg;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     auto ops = benchutil::benchOps(argc, argv, 100000);
     benchutil::CampaignRecorder record("fault_campaign", ops, argc, argv);
@@ -57,4 +55,12 @@ main(int argc, char **argv)
     else
         printFigure(std::cout, fig, ValueFormat::Ratio);
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::guardedMain(run, argc, argv);
 }

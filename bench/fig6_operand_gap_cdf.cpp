@@ -7,8 +7,11 @@
 
 using namespace loopsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     auto ops = benchutil::benchOps(argc, argv);
     benchutil::CampaignRecorder record("fig6_operand_gap_cdf", ops,
@@ -21,4 +24,12 @@ main(int argc, char **argv)
     else
         printFigure(std::cout, fig);
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::guardedMain(run, argc, argv);
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/random.hh"
+#include "bench_util.hh"
 #include "branch/bimodal.hh"
 #include "branch/gshare.hh"
 #include "branch/tournament.hh"
@@ -150,6 +151,21 @@ BM_CoreSimulationRate(benchmark::State &state)
 BENCHMARK(BM_CoreSimulationRate)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+int
+run(int argc, char **argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}
+
 } // anonymous namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    return benchutil::guardedMain(run, argc, argv);
+}

@@ -50,20 +50,19 @@ const char *flagName(Flag flag);
 namespace detail
 {
 
-/** Set in flagState once LOOPSIM_DEBUG has been read (or overridden
- *  by setFlags/clearFlags). */
+/** Set in flagState once LOOPSIM_DEBUG has been applied (or
+ *  overridden by setFlags/clearFlags). */
 inline constexpr unsigned envParsedBit = 1u << 31;
 
 /**
  * The enabled-flag mask plus envParsedBit, in one word so the fast
  * path is a single relaxed load: whoever sees the bit also sees the
- * mask stored with it. The env parse serialises on a mutex in
- * debug.cc; setFlags/clearFlags run before a sweep; campaign workers
- * only load.
+ * mask stored with it. The env latch is one compare-and-swap;
+ * setFlags/clearFlags run before a sweep; campaign workers only load.
  */
 inline std::atomic<unsigned> flagState{0};
 
-/** Slow path: read LOOPSIM_DEBUG once; returns the latched state. */
+/** Slow path: apply LOOPSIM_DEBUG once; returns the latched state. */
 unsigned parseEnv();
 
 inline unsigned
@@ -88,6 +87,10 @@ enabled(Flag flag)
  *  An unknown name, or Pool/Reg (see Flag), is fatal. */
 void setFlags(const std::string &csv);
 
+/** OR the flags of @p csv (setFlags' syntax) into @p mask; returns
+ *  what is wrong with the list, or "" when it is well formed. */
+std::string parseFlagList(const std::string &csv, unsigned &mask);
+
 /** Disable everything. */
 void clearFlags();
 
@@ -97,16 +100,6 @@ anyEnabled()
 {
     return (detail::state() & ~detail::envParsedBit) != 0;
 }
-
-/**
- * Structure-level trace target: the integer in environment variable
- * @p var (LOOPSIM_TRACE_POOL, LOOPSIM_TRACE_REG), or -1 when unset.
- * Anything but a decimal integer >= 0 (empty, junk, trailing text,
- * negative, out of range) is fatal.
- * Structures latch it at construction so their hot paths compare a
- * member instead of re-reading the environment.
- */
-int envTraceTarget(const char *var);
 
 /** Emit one trace line (already guarded by enabled()). */
 void emit(Flag flag, Cycle cycle, const std::string &message);

@@ -14,6 +14,7 @@
 #endif
 
 #include "base/debug.hh"
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "core/core.hh"
 #include "integrity/fault_injector.hh"
@@ -551,14 +552,9 @@ Core::handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
         if (miss_mask & (1u << i))
             operandSources->add(sourceBin(OperandSource::Miss));
     }
-    // LOOPSIM_DEBUG_MISS is latched once (this runs per miss, and
-    // getenv is neither cheap nor thread-safe against concurrent
-    // setenv); output goes through debug::emit so parallel campaign
-    // workers cannot interleave mid-line.
-    static const bool debug_miss = [] {
-        return std::getenv("LOOPSIM_DEBUG_MISS") != nullptr; // NOLINT(concurrency-mt-unsafe)
-    }();
-    if (debug_miss) {
+    // LOOPSIM_DEBUG_MISS output goes through debug::emit so parallel
+    // campaign workers cannot interleave mid-line.
+    if (knobs::env().debugMiss) {
         for (unsigned i = 0; i < 2; ++i) {
             if (!(miss_mask & (1u << i)))
                 continue;

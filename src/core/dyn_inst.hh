@@ -18,6 +18,7 @@
 
 #include "base/annotations.hh"
 #include "base/debug.hh"
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/hierarchy.hh"
@@ -264,7 +265,7 @@ class InstPool
     std::vector<DynInst> slots;
     std::vector<PoolIdx> freeList;
     /** Debug aid: LOOPSIM_TRACE_POOL=<idx> logs slot transitions. */
-    int tracedIdx = debug::envTraceTarget("LOOPSIM_TRACE_POOL");
+    int tracedIdx = knobs::env().tracePool;
 };
 
 } // namespace loopsim

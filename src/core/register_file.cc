@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/debug.hh"
+#include "base/knobs.hh"
 #include "base/logging.hh"
 
 namespace loopsim
@@ -29,7 +30,7 @@ PhysRegFile::PhysRegFile(unsigned num_regs)
       actualReadyCycles(num_regs, invalidCycle),
       writebackCycles(num_regs, invalidCycle), liveFlags(num_regs, 0),
       producers(num_regs),
-      tracedReg(debug::envTraceTarget("LOOPSIM_TRACE_REG"))
+      tracedReg(knobs::env().traceReg)
 {
     fatal_if(num_regs == 0 || num_regs >= invalidPhysReg,
              "physical register count out of range");

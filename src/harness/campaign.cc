@@ -14,10 +14,10 @@
 #include <map>
 
 #include "base/annotations.hh"
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "core/machine_config.hh"
 #include "harness/supervisor.hh"
-#include "serve/client.hh"
 #include "store/fingerprint.hh"
 #include "store/journal.hh"
 #include "trace/loop_trace.hh"
@@ -111,21 +111,6 @@ class ShutdownGuard
     struct sigaction oldTerm = {};
     bool restored = false;
 };
-
-/** LOOPSIM_JOBS, parsed once; 0 when unset or unusable. */
-unsigned
-envJobs()
-{
-    static const unsigned jobs = [] {
-        const char *env = std::getenv("LOOPSIM_JOBS");
-        if (!env || !*env)
-            return 0u;
-        bool ok = false;
-        const unsigned v = parseJobsSpec(env, ok);
-        return ok ? v : 0u;
-    }();
-    return jobs;
-}
 
 /**
  * Run one cell. runOnceResilient() already fail-softs SimError; this
@@ -274,35 +259,11 @@ setCampaignJobs(unsigned jobs)
 }
 
 unsigned
-hostCpus()
-{
-    return std::max(std::thread::hardware_concurrency(), 1u);
-}
-
-unsigned
-parseJobsSpec(const std::string &spec, bool &ok)
-{
-    ok = false;
-    if (spec.empty())
-        return 0;
-    if (spec == "auto") {
-        ok = true;
-        return hostCpus();
-    }
-    char *end = nullptr;
-    unsigned long v = std::strtoul(spec.c_str(), &end, 10);
-    if (end == spec.c_str() || *end != '\0')
-        return 0;
-    ok = true;
-    return static_cast<unsigned>(std::min(v, 1024ul));
-}
-
-unsigned
 campaignJobs()
 {
     unsigned jobs = explicitJobs.load(std::memory_order_relaxed);
     if (jobs == 0)
-        jobs = envJobs();
+        jobs = knobs::env().jobs;
     if (jobs == 0)
         jobs = std::thread::hardware_concurrency();
     return std::max(jobs, 1u);
@@ -312,21 +273,9 @@ std::vector<RunResult>
 runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             unsigned jobs)
 {
-    // Remote delegation (--server / LOOPSIM_SERVER): ship the plan to
-    // a loopsim-serve daemon instead of simulating here. Trace
-    // collection opts out (loop events never cross the wire), and any
-    // failure falls back to local execution so a dead server costs a
-    // warning, not the figure.
-    if (!plan.empty() && serve::serveConfigured() &&
-        !trace::collectionActive()) {
-        std::vector<RunResult> remote;
-        std::string err;
-        if (serve::runCampaignRemote(plan, policy, remote, err))
-            return remote;
-        warn("campaign: remote submission to ", serve::serveEndpoint(),
-             " failed (", err, "); falling back to local execution");
-    }
-
+    // Parse the whole environment here, on the calling thread: a
+    // malformed knob is fatal to the caller, never a fail-soft cell.
+    knobs::env();
     if (jobs == 0)
         jobs = campaignJobs();
     jobs = static_cast<unsigned>(
@@ -453,8 +402,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     std::vector<Config> resolved(plan.size());
     for (std::size_t i : pending)
         resolved[i] = effectiveRunConfig(plan.at(i).spec);
-    if (isolate)
-        deadlineMs(); // a bad LOOPSIM_DEADLINE_MS exits here, not in a worker
 
     // Graceful shutdown scope: SIGINT/SIGTERM flips the drain flag,
     // workers stop claiming cells, in-flight isolated workers are
@@ -731,14 +678,6 @@ setCampaignInterruptFlush(std::function<void()> hook)
 {
     std::lock_guard<std::mutex> lock(flushHookMutex);
     interruptFlushHook = std::move(hook);
-}
-
-void
-recordCampaignTelemetry(const CampaignTelemetry &t)
-{
-    std::lock_guard<std::mutex> lock(telemetryMutex);
-    lastTelemetry = t;
-    totalTelemetry.accumulate(t);
 }
 
 CampaignTelemetry

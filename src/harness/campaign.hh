@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "base/knobs.hh"
 #include "harness/experiment.hh"
 #include "store/result_store.hh"
 
@@ -201,17 +202,6 @@ void setCampaignJobs(unsigned jobs);
  */
 unsigned campaignJobs();
 
-/** Hardware threads on this host (>= 1). */
-unsigned hostCpus();
-
-/**
- * Parse a --jobs / LOOPSIM_JOBS value: a number (capped at 1024) or
- * "auto", which resolves to hostCpus() — the sane full-width setting
- * shared by the local executor and the serve worker pool. @p ok is
- * false (and 0 returned) on anything else.
- */
-unsigned parseJobsSpec(const std::string &spec, bool &ok);
-
 /**
  * Execute every cell of @p plan and return one RunResult per cell, in
  * plan order. @p jobs 0 means campaignJobs(); the pool never spawns
@@ -227,6 +217,9 @@ unsigned parseJobsSpec(const std::string &spec, bool &ok);
  * count — and only the misses go to the worker pool; fresh results
  * are inserted back. Duplicate plan points within one campaign
  * simulate once.
+ *
+ * The environment knobs (base/knobs.hh) are parsed first, on the
+ * calling thread: a malformed one throws FatalError from this call.
  */
 std::vector<RunResult> runCampaign(const CampaignPlan &plan,
                                    const RetryPolicy &policy = {},
@@ -250,14 +243,6 @@ store::Fingerprint fingerprintPlan(const CampaignPlan &plan,
  * leaves telemetry behind.
  */
 void setCampaignInterruptFlush(std::function<void()> hook);
-
-/**
- * Record one campaign's telemetry as if runCampaign() produced it
- * (updates lastCampaignTelemetry() and campaignTotals()). The remote
- * submission path (serve/client.hh) uses this so served campaigns
- * surface through the same counters as local ones.
- */
-void recordCampaignTelemetry(const CampaignTelemetry &t);
 
 /** Telemetry of the most recently completed campaign. */
 CampaignTelemetry lastCampaignTelemetry();

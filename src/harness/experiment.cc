@@ -10,8 +10,8 @@
 #include <sstream>
 
 #include "base/annotations.hh"
+#include "base/knobs.hh"
 #include "base/logging.hh"
-#include "base/str.hh"
 #include "core/core.hh"
 #include "core/machine_config.hh"
 #include "integrity/fault_injector.hh"
@@ -54,61 +54,34 @@ runOverlaySnapshot()
     return runOverlayLocked();
 }
 
-/** Parse LOOPSIM_OVERLAY ("a.b=c,d.e=f" or space-separated) once. */
-const Config &
-envOverlay()
-{
-    static const Config cfg = [] {
-        Config c;
-        const char *env = std::getenv("LOOPSIM_OVERLAY");
-        if (!env)
-            return c;
-        for (const std::string &chunk : split(env, ',')) {
-            for (const std::string &assign : split(chunk, ' ')) {
-                if (!assign.empty())
-                    c.parseAssignment(assign);
-            }
-        }
-        return c;
-    }();
-    return cfg;
-}
-
 /** Defaults < spec overrides < env overlay < programmatic overlay. */
 Config
 effectiveConfig(const RunSpec &spec)
 {
     Config cfg = defaultFigureConfig();
     cfg.overlay(spec.overrides);
-    cfg.overlay(envOverlay());
+    cfg.overlay(knobs::env().overlay);
     cfg.overlay(runOverlaySnapshot());
     return cfg;
 }
 
-/** Kernel self-profiling gate; defaults from LOOPSIM_PROFILE. */
-std::atomic<bool> profilingFlag{false};
-std::atomic<bool> profilingInitialized{false};
+/** Kernel self-profiling override: -1 unset (LOOPSIM_PROFILE
+ *  applies), else 0/1. */
+std::atomic<int> profilingOverride{-1};
 
 } // anonymous namespace
 
 bool
 tickProfilingActive()
 {
-    if (!profilingInitialized.load(std::memory_order_acquire)) {
-        // Benign race: both racers compute the same env-derived value.
-        const char *env = std::getenv("LOOPSIM_PROFILE"); // NOLINT(concurrency-mt-unsafe)
-        profilingFlag.store(env != nullptr && *env != '\0',
-                            std::memory_order_relaxed);
-        profilingInitialized.store(true, std::memory_order_release);
-    }
-    return profilingFlag.load(std::memory_order_relaxed);
+    const int forced = profilingOverride.load(std::memory_order_relaxed);
+    return forced >= 0 ? forced != 0 : knobs::env().profile;
 }
 
 void
 setTickProfiling(bool on)
 {
-    profilingInitialized.store(true, std::memory_order_release);
-    profilingFlag.store(on, std::memory_order_relaxed);
+    profilingOverride.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 void

@@ -121,9 +121,9 @@ struct RunResult
 };
 
 /**
- * Process-wide kernel self-profiling toggle. Defaults to whether the
- * LOOPSIM_PROFILE environment variable is set (latched once); the
- * bench binaries' --profile flag forces it via setTickProfiling().
+ * Process-wide kernel self-profiling toggle. Defaults to
+ * LOOPSIM_PROFILE (base/knobs.hh); the bench binaries' --profile
+ * flag forces it via setTickProfiling().
  * When on, every runOnce() times its components' tick() calls and
  * reports them in RunResult::tickProfile.
  */

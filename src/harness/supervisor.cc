@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -18,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "core/machine_config.hh"
 #include "store/record.hh"
@@ -28,11 +28,11 @@ namespace loopsim
 namespace
 {
 
-/** Isolation / deadline gates; env-latched like tickProfilingActive(). */
-std::atomic<bool> isolateFlag{false};
-std::atomic<bool> isolateInit{false};
+/** Isolation / deadline overrides; the environment applies until a
+ *  setter runs. isolateOverride: -1 unset, else 0/1. */
+std::atomic<int> isolateOverride{-1};
 std::atomic<std::uint64_t> deadlineMsFlag{0};
-std::atomic<bool> deadlineInit{false};
+std::atomic<bool> deadlineSet{false};
 
 /** Campaign shutdown flag polled while a child is in flight. */
 std::atomic<const std::atomic<bool> *> stopFlag{nullptr};
@@ -296,16 +296,9 @@ isolationSupported()
 bool
 isolationActive()
 {
-    if (!isolateInit.load(std::memory_order_acquire)) {
-        // Benign race: both racers compute the same env-derived value.
-        const char *env = std::getenv("LOOPSIM_ISOLATE"); // NOLINT(concurrency-mt-unsafe)
-        bool on = env != nullptr && *env != '\0' &&
-                  std::strcmp(env, "0") != 0;
-        isolateFlag.store(on, std::memory_order_relaxed);
-        isolateInit.store(true, std::memory_order_release);
-    }
-    return isolateFlag.load(std::memory_order_relaxed) &&
-           isolationSupported();
+    const int forced = isolateOverride.load(std::memory_order_relaxed);
+    const bool on = forced >= 0 ? forced != 0 : knobs::env().isolate;
+    return on && isolationSupported();
 }
 
 void
@@ -315,40 +308,22 @@ setIsolation(bool on)
         warn("process isolation is not supported on this platform; "
              "cells will run in-process");
     }
-    isolateInit.store(true, std::memory_order_release);
-    isolateFlag.store(on, std::memory_order_relaxed);
+    isolateOverride.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 std::uint64_t
 deadlineMs()
 {
-    if (!deadlineInit.load(std::memory_order_acquire)) {
-        const char *env = std::getenv("LOOPSIM_DEADLINE_MS"); // NOLINT(concurrency-mt-unsafe)
-        std::uint64_t ms = 0;
-        if (env != nullptr && *env != '\0') {
-            // Strict, like --deadline-ms: "10s" must not quietly mean
-            // 10 ms, nor "abc" no deadline at all.
-            const char *end = env + std::strlen(env);
-            auto [ptr, ec] = std::from_chars(env, end, ms);
-            if (ec != std::errc() || ptr != end) {
-                std::fprintf(stderr,
-                             "invalid LOOPSIM_DEADLINE_MS: \"%s\" "
-                             "(expected a non-negative integer)\n",
-                             env);
-                std::exit(2); // NOLINT(concurrency-mt-unsafe)
-            }
-        }
-        deadlineMsFlag.store(ms, std::memory_order_relaxed);
-        deadlineInit.store(true, std::memory_order_release);
-    }
-    return deadlineMsFlag.load(std::memory_order_relaxed);
+    if (deadlineSet.load(std::memory_order_acquire))
+        return deadlineMsFlag.load(std::memory_order_relaxed);
+    return knobs::env().deadlineMs;
 }
 
 void
 setDeadlineMs(std::uint64_t ms)
 {
-    deadlineInit.store(true, std::memory_order_release);
     deadlineMsFlag.store(ms, std::memory_order_relaxed);
+    deadlineSet.store(true, std::memory_order_release);
 }
 
 void

@@ -115,7 +115,7 @@ struct SupervisedOutcome
 
 /** @name Process-wide isolation configuration
  * Precedence: setIsolation() (the bench binaries' --isolate flag) >
- * the LOOPSIM_ISOLATE environment variable ("0"/"" = off) > off.
+ * the LOOPSIM_ISOLATE environment variable (base/knobs.hh) > off.
  * The deadline follows the same scheme with --deadline-ms /
  * LOOPSIM_DEADLINE_MS; 0 means no deadline. */
 /// @{

@@ -1,9 +1,9 @@
 #include "integrity/watchdog.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "sim/config.hh"
 
@@ -17,10 +17,8 @@ WatchdogConfig::fromConfig(const Config &cfg)
     wc.window = cfg.getUint("integrity.watchdog.window", wc.window);
     wc.historyDepth = static_cast<unsigned>(
         cfg.getUint("integrity.watchdog.history", wc.historyDepth));
-    const char *env = std::getenv("LOOPSIM_CHECK");
-    bool env_checks = env && *env;
     wc.structuralChecks =
-        cfg.getBool("integrity.checks.enable", env_checks);
+        cfg.getBool("integrity.checks.enable", knobs::env().check);
     wc.checkInterval =
         cfg.getUint("integrity.checks.interval", wc.checkInterval);
     fatal_if(wc.window == 0, "integrity.watchdog.window must be > 0");

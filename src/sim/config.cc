@@ -39,15 +39,27 @@ Config::setBool(const std::string &key, bool value)
     set(key, value ? "true" : "false");
 }
 
+std::string
+Config::splitAssignment(const std::string &assignment, std::string &key,
+                        std::string &value)
+{
+    auto pos = assignment.find('=');
+    if (pos == std::string::npos)
+        return "malformed config assignment (need k=v): " + assignment;
+    key = trim(assignment.substr(0, pos));
+    value = trim(assignment.substr(pos + 1));
+    if (key.empty())
+        return "empty key in assignment: " + assignment;
+    return "";
+}
+
 void
 Config::parseAssignment(const std::string &assignment)
 {
-    auto pos = assignment.find('=');
-    fatal_if(pos == std::string::npos,
-             "malformed config assignment (need k=v): ", assignment);
-    std::string key = trim(assignment.substr(0, pos));
-    std::string value = trim(assignment.substr(pos + 1));
-    fatal_if(key.empty(), "empty key in assignment: ", assignment);
+    std::string key, value;
+    const std::string why = splitAssignment(assignment, key, value);
+    if (!why.empty())
+        fatal(why);
     set(key, value);
 }
 

@@ -38,6 +38,11 @@ class Config
 
     /** Parse "a.b=c" assignments; fatal() on malformed input. */
     void parseAssignment(const std::string &assignment);
+    /** Split "a.b=c" into trimmed @p key and @p value; returns what is
+     *  wrong with @p assignment, or "" when it is well formed. */
+    static std::string splitAssignment(const std::string &assignment,
+                                       std::string &key,
+                                       std::string &value);
     /** Parse a list of "k=v" strings, e.g.\ CLI arguments. */
     void parseArgs(const std::vector<std::string> &args);
 

@@ -15,9 +15,8 @@
 #include "sim/feedback_port.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
+#include "base/knobs.hh"
 #include "integrity/sim_error.hh"
 
 namespace loopsim
@@ -29,23 +28,10 @@ namespace audit
 namespace
 {
 
-bool
-defaultEnabled()
-{
-#ifdef LOOPSIM_AUDIT_BUILD
-    bool on = true;
-#else
-    bool on = false;
-#endif
-    if (const char *env = std::getenv("LOOPSIM_AUDIT"))
-        on = std::strcmp(env, "0") != 0 && std::strcmp(env, "") != 0;
-    return on;
-}
-
 std::atomic<bool> &
 flag()
 {
-    static std::atomic<bool> on{defaultEnabled()};
+    static std::atomic<bool> on{knobs::env().audit};
     return on;
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "integrity/sim_error.hh"
 
@@ -16,22 +17,6 @@ namespace
 /** -1: no override; otherwise a KernelMode value. */
 std::atomic<int> modeOverride{-1};
 
-KernelMode
-builtinKernelMode()
-{
-    static const KernelMode resolved = [] {
-        const char *env = std::getenv("LOOPSIM_DENSE_KERNEL");
-        if (env && *env)
-            return KernelMode::Dense;
-#ifdef LOOPSIM_DENSE_KERNEL_DEFAULT
-        return KernelMode::Dense;
-#else
-        return KernelMode::Sparse;
-#endif
-    }();
-    return resolved;
-}
-
 } // anonymous namespace
 
 KernelMode
@@ -40,7 +25,7 @@ defaultKernelMode()
     int forced = modeOverride.load(std::memory_order_relaxed);
     if (forced >= 0)
         return static_cast<KernelMode>(forced);
-    return builtinKernelMode();
+    return knobs::env().denseKernel ? KernelMode::Dense : KernelMode::Sparse;
 }
 
 void

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "harness/experiment.hh"
 #include "store/record.hh"
@@ -258,8 +259,7 @@ journalPath()
         if (explicitJournalPathSet)
             return explicitJournalPath;
     }
-    const char *env = std::getenv("LOOPSIM_JOURNAL");
-    return env ? std::string(env) : std::string();
+    return knobs::env().journal;
 }
 
 bool

@@ -15,6 +15,7 @@
 #include <system_error>
 
 #include "base/annotations.hh"
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "store/record.hh"
 
@@ -58,11 +59,11 @@ std::atomic<std::uint64_t> tempCounter{0};
 
 /**
  * Advisory cross-process lock on `<root>/.lock`, flock(2)-based.
- * Writers take it shared — any number of processes (a live server
- * plus local campaigns) insert concurrently, each write already
+ * Writers take it shared — any number of local campaign processes
+ * insert concurrently, each write already
  * atomic via temp + rename. gcStore() takes it exclusive, because
  * eviction removes *emptied fan-out directories*: without the lock a
- * gc running beside a live server could remove a directory between a
+ * gc running beside a live campaign could remove a directory between a
  * writer's create_directories() and its rename(), tearing the insert.
  * A root where the lock file cannot be opened degrades to unlocked
  * (held() == false) — the store stays usable, only the gc-vs-writer
@@ -306,8 +307,7 @@ storePath()
         if (explicitPathSet)
             return explicitPath;
     }
-    const char *env = std::getenv("LOOPSIM_STORE");
-    return env ? std::string(env) : std::string();
+    return knobs::env().store;
 }
 
 bool
@@ -431,7 +431,7 @@ gcStore(const std::string &dir, std::uint64_t max_bytes)
     // Exclusive: waits out in-flight writers (shared holders in
     // insert()) and holds new ones off while records and emptied
     // fan-out directories are removed, so gc is safe to run against a
-    // store a live server is inserting into.
+    // store a live campaign is inserting into.
     StoreLock lock(dir, /*exclusive=*/true);
 
     std::vector<StoreEntry> entries = scanStore(dir, /*decode=*/true);
@@ -486,7 +486,7 @@ summarizeStore(const std::string &dir)
 }
 
 std::string
-storeSummaryJson(const StoreSummary &summary, const StoreStats *stats)
+storeSummaryJson(const StoreSummary &summary)
 {
     std::ostringstream out;
     out << "{\n";
@@ -494,16 +494,6 @@ storeSummaryJson(const StoreSummary &summary, const StoreStats *stats)
     out << "  \"records\": " << summary.records << ",\n";
     out << "  \"bytes\": " << summary.bytes << ",\n";
     out << "  \"invalid\": " << summary.invalid;
-    if (stats != nullptr) {
-        out << ",\n  \"stats\": {\n";
-        out << "    \"hits\": " << stats->hits << ",\n";
-        out << "    \"misses\": " << stats->misses << ",\n";
-        out << "    \"inserts\": " << stats->inserts << ",\n";
-        out << "    \"crc_rejects\": " << stats->crcRejects << ",\n";
-        out << "    \"bytes_read\": " << stats->bytesRead << ",\n";
-        out << "    \"bytes_written\": " << stats->bytesWritten << "\n";
-        out << "  }";
-    }
     out << "\n}\n";
     return out.str();
 }

@@ -174,8 +174,8 @@ struct GcReport
  * Evict records — invalid ones first, then oldest mtime first — until
  * the store's record bytes fit in @p max_bytes. Empty fan-out
  * subdirectories are removed afterwards. Takes the store's advisory
- * lock exclusively, so it is safe to run against a store a live
- * server (or local campaign) is concurrently inserting into.
+ * lock exclusively, so it is safe to run against a store that live
+ * campaigns are concurrently inserting into.
  */
 GcReport gcStore(const std::string &dir, std::uint64_t max_bytes);
 
@@ -192,14 +192,8 @@ struct StoreSummary
 
 StoreSummary summarizeStore(const std::string &dir);
 
-/**
- * The one cache-tier JSON schema shared by `loopsim-store stat --json`
- * and the daemon's --stats-json: directory summary plus (optionally)
- * live StoreStats counters — pass nullptr for @p stats when there is
- * no open store handle (the CLI) and the "stats" object is omitted.
- */
-std::string storeSummaryJson(const StoreSummary &summary,
-                             const StoreStats *stats);
+/** The directory summary as JSON (`loopsim-store stat --json`). */
+std::string storeSummaryJson(const StoreSummary &summary);
 /// @}
 
 } // namespace loopsim::store

@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "base/annotations.hh"
+#include "base/knobs.hh"
 
 namespace loopsim::trace
 {
@@ -227,11 +228,7 @@ std::string &
 pathStorage()
 {
     LOOPSIM_CAMPAIGN_GUARDED("pathMutex; latched before workers spawn")
-    static std::string path = [] {
-        // Latched once at startup, same pattern as base/debug.cc.
-        const char *env = std::getenv("LOOPSIM_TRACE"); // NOLINT(concurrency-mt-unsafe)
-        return std::string(env ? env : "");
-    }();
+    static std::string path = knobs::env().trace;
     return path;
 }
 

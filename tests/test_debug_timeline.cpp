@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "base/debug.hh"
+#include "base/knobs.hh"
 #include "core/dyn_inst.hh"
 #include "core/timeline.hh"
 #include "core_test_util.hh"
@@ -61,18 +62,6 @@ TEST(DebugFlags, UnknownFlagFatal)
     EXPECT_THROW(debug::setFlags("Bogus"), FatalError);
 }
 
-TEST(DebugFlags, EnvTraceTargetReadsTheVariable)
-{
-    // The value InstPool/PhysRegFile latch at construction. The test
-    // touches the environment from its only thread.
-    const char *var = "LOOPSIM_TEST_TRACE_TARGET";
-    ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
-    EXPECT_EQ(debug::envTraceTarget(var), -1);
-    ::setenv(var, "17", 1); // NOLINT(concurrency-mt-unsafe)
-    EXPECT_EQ(debug::envTraceTarget(var), 17);
-    ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
-}
-
 namespace
 {
 
@@ -91,32 +80,52 @@ fatalMessage(F &&f)
 
 } // anonymous namespace
 
+TEST(DebugFlags, EnvTraceTargetReadsTheVariable)
+{
+    // The values InstPool/PhysRegFile take at construction, as the
+    // knob registry parses them.
+    EXPECT_EQ(knobs::parse({}).tracePool, -1);
+    EXPECT_EQ(knobs::parse({}).traceReg, -1);
+    EXPECT_EQ(knobs::parse({"LOOPSIM_TRACE_POOL=17"}).tracePool, 17);
+    EXPECT_EQ(knobs::parse({"LOOPSIM_TRACE_REG=17"}).traceReg, 17);
+}
+
 TEST(DebugFlags, EnvTraceTargetRejectsJunk)
 {
     // Each is fatal, naming the variable: a typo must not trace some
     // other slot without a word.
-    const char *var = "LOOPSIM_TEST_TRACE_TARGET";
-    for (const char *bad : {"", "abc", "-1", "-0x3", "3x", " 3", "3 ",
-                            "+3", "1e2", "99999999999"}) {
-        ::setenv(var, bad, 1); // NOLINT(concurrency-mt-unsafe)
-        const std::string msg =
-            fatalMessage([&] { debug::envTraceTarget(var); });
-        EXPECT_NE(msg.find(var), std::string::npos)
-            << "value '" << bad << "' was accepted";
+    for (const char *var : {"LOOPSIM_TRACE_POOL", "LOOPSIM_TRACE_REG"}) {
+        for (const char *bad : {"", "abc", "-1", "-0x3", "3x", " 3", "3 ",
+                                "+3", "1e2", "99999999999"}) {
+            const std::string msg = fatalMessage([&] {
+                knobs::parse({std::string(var) + "=" + bad});
+            });
+            EXPECT_NE(msg.find(var), std::string::npos)
+                << var << " value '" << bad << "' was accepted";
+        }
     }
-    ::setenv(var, "0", 1); // NOLINT(concurrency-mt-unsafe)
-    EXPECT_EQ(debug::envTraceTarget(var), 0);
-    ::unsetenv(var); // NOLINT(concurrency-mt-unsafe)
+    EXPECT_EQ(knobs::parse({"LOOPSIM_TRACE_POOL=0"}).tracePool, 0);
 }
 
 TEST(DebugFlags, BadPoolTraceTargetFailsConstruction)
 {
-    // InstPool latches LOOPSIM_TRACE_POOL at construction: a bad value
-    // fails there, before any simulation runs.
+    // InstPool takes LOOPSIM_TRACE_POOL at construction: a bad value
+    // fails there, before any simulation runs. The statement runs in
+    // a freshly executed copy of this binary, whose environment has
+    // not been parsed yet.
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ::setenv("LOOPSIM_TRACE_POOL", "abc", 1); // NOLINT(concurrency-mt-unsafe)
-    const std::string msg = fatalMessage([] { InstPool pool(4); });
+    EXPECT_EXIT(
+        {
+            const std::string msg = fatalMessage([] { InstPool pool(4); });
+            std::exit(msg.find("LOOPSIM_TRACE_POOL") != std::string::npos
+                          ? 7
+                          : 1);
+        },
+        ::testing::ExitedWithCode(7), "");
     ::unsetenv("LOOPSIM_TRACE_POOL"); // NOLINT(concurrency-mt-unsafe)
-    EXPECT_NE(msg.find("LOOPSIM_TRACE_POOL"), std::string::npos) << msg;
+    ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(DebugFlags, PoolAndRegFlagsNameTheirVariable)

@@ -30,6 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/knobs.hh"
 #include "base/logging.hh"
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
@@ -1006,17 +1007,28 @@ TEST(PersistentWorker, SigintDrainReapsEveryWorker)
 
 TEST(SupervisorFlags, DeadlineEnvironmentIsParsedStrictly)
 {
-    // Each statement runs in a freshly executed copy of this binary,
-    // where deadlineMs() has not latched the variable yet.
-    const std::string style = ::testing::FLAGS_gtest_death_test_style;
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Strict, like --deadline-ms: "10s" must not quietly mean 10 ms,
+    // nor "abc" no deadline at all. Each is fatal, naming the variable
+    // (a bench binary turns that into exit status 2; see
+    // Knobs.BenchHandlerExitsTwoNamingTheVariable).
     for (const char *bad : {"10s", "abc", "-5", " 7", "0x10",
                             "99999999999999999999999"}) {
         SCOPED_TRACE(bad);
-        ::setenv("LOOPSIM_DEADLINE_MS", bad, 1);
-        EXPECT_EXIT(deadlineMs(), ::testing::ExitedWithCode(2),
-                    "invalid LOOPSIM_DEADLINE_MS");
+        std::string msg;
+        try {
+            knobs::parse({std::string("LOOPSIM_DEADLINE_MS=") + bad});
+        } catch (const FatalError &e) {
+            msg = e.what();
+        }
+        EXPECT_NE(msg.find("LOOPSIM_DEADLINE_MS"), std::string::npos);
     }
+    EXPECT_EQ(knobs::parse({"LOOPSIM_DEADLINE_MS=250"}).deadlineMs, 250u);
+
+    // deadlineMs() falls back to the parsed environment. The statement
+    // runs in a freshly executed copy of this binary, whose
+    // environment has not been parsed yet.
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ::setenv("LOOPSIM_DEADLINE_MS", "250", 1);
     EXPECT_EXIT(std::exit(deadlineMs() == 250 ? 7 : 1),
                 ::testing::ExitedWithCode(7), "");

@@ -31,6 +31,13 @@ shapes that would let a refactor sneak around that layer:
                     one-write-per-line discipline keeps them
                     unscrambled under parallel campaigns.
 
+  raw-getenv        std::getenv()/getenv() outside base/knobs. Every
+                    LOOPSIM_* environment knob is read through the one
+                    registry there, which parses the whole environment
+                    once, strictly, before any campaign worker starts;
+                    a private getenv parser would bring back the
+                    disagreeing grammars the registry replaced.
+
 A finding is waived by annotating the offending line (or the line
 directly above it) with `// loop:exempt(<reason>)`. The reason is
 mandatory; the annotation is the reviewable record of why the pattern
@@ -67,7 +74,8 @@ SOURCE_SUFFIXES = {".cc", ".hh", ".cpp", ".hpp"}
 EXEMPT_RE = re.compile(r"//\s*loop:exempt\([^)]+\)")
 EXEMPT_REASON_RE = re.compile(r"//\s*loop:exempt\(([^)]+)\)")
 
-ALL_RULES = frozenset({"feedback-bypass", "determinism", "bare-output"})
+ALL_RULES = frozenset({"feedback-bypass", "determinism", "bare-output",
+                       "raw-getenv"})
 # Rules with AST successors in loopsim-analyze (tools/analyze); the
 # regex versions retire when the analyzer is available.
 SUPERSEDED_BY_ANALYZER = frozenset({"feedback-bypass", "determinism"})
@@ -109,6 +117,11 @@ OUTPUT_RES = [
     (re.compile(r"\b(std::)?printf\s*\("), "printf()", OUTPUT_ALLOWED),
     (re.compile(r"\bstd::cerr\b"), "std::cerr", CERR_ALLOWED),
 ]
+
+# --- raw-getenv ------------------------------------------------------
+GETENV_RE = re.compile(r"\b(std::)?(secure_)?getenv\s*\(")
+# The knob registry is the one place the environment is read.
+GETENV_ALLOWED = ("base/knobs.hh", "base/knobs.cc")
 
 
 class Finding:
@@ -189,6 +202,13 @@ def lint_file(path, display, findings, rules=ALL_RULES,
                         f"reproducible from their seeds (use the "
                         f"seeded base/random PCG)"))
 
+        if "raw-getenv" in rules and display not in GETENV_ALLOWED and \
+                GETENV_RE.search(line) and not waived(i):
+            findings.append(Finding(
+                display, i + 1, "raw-getenv",
+                "getenv() outside base/knobs: add the variable to the "
+                "knob registry and read it through knobs::env()"))
+
         if "bare-output" not in rules:
             continue
         for pattern, name, allowed in OUTPUT_RES:
@@ -260,6 +280,7 @@ def self_test(fixture_root):
         "feedback-bypass": 3,  # event schedule, case label, struct
         "determinism": 4,      # rand, srand, time, clock::now
         "bare-output": 3,      # std::cout, printf, std::cerr
+        "raw-getenv": 2,       # std::getenv, getenv
     }
     for rule, count in expected.items():
         got = len(by_rule.get(rule, []))
@@ -273,14 +294,14 @@ def self_test(fixture_root):
         failures.append(f"clean/exempted fixture flagged: {f}")
 
     # --analyzer-available retires the superseded rules and nothing
-    # else: only the bare-output findings must remain.
+    # else: only the bare-output and raw-getenv findings must remain.
     reduced = lint_tree(fixture_root,
                         rules=ALL_RULES - SUPERSEDED_BY_ANALYZER)
     leftover = {f.rule for f in reduced}
-    if leftover != {"bare-output"}:
+    if leftover != {"bare-output", "raw-getenv"}:
         failures.append(
             f"--analyzer-available mode kept rules {sorted(leftover)},"
-            f" expected only bare-output")
+            f" expected only bare-output and raw-getenv")
 
     # Stale-waiver detection: the deliberate stale fixture must be
     # the one and only report — live waivers and analyze:-prefixed
